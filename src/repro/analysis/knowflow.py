@@ -60,7 +60,8 @@ class FlowSite:
     #: Wrapper qualname when the site was derived through one
     #: (``ModuleSupervisor._publish``), None for direct primitives.
     derived_from: Optional[str] = None
-    #: kb reads only: does the call carry a ``default=`` fallback?
+    #: kb reads and requirements: does the call carry a ``default=``
+    #: fallback for an absent knowgget?
     has_default: bool = False
 
     def render(self) -> str:
@@ -157,7 +158,14 @@ def _classify_site(
         if label_node is None:
             return
         pattern = _pattern_at(project, graph, site, label_node)
-        flow.reads.append(_site(site, pattern, "requirement"))
+        flow.reads.append(
+            _site(
+                site,
+                pattern,
+                "requirement",
+                has_default=_requirement_default(site.node),
+            )
+        )
         kind, value = pattern
         if kind == "exact" and value is not None and site.owner_class:
             flow.requirement_labels.setdefault(site.owner_class, set()).add(
@@ -374,6 +382,18 @@ def _read_patterns(
 
 def _has_default(call: ast.Call) -> bool:
     return any(keyword.arg == "default" for keyword in call.keywords)
+
+
+def _requirement_default(call: ast.Call) -> bool:
+    """Does a ``Requirement(...)`` name a value for an absent knowgget?
+
+    ``default=None`` is the dataclass default (absent fails), so only a
+    non-None default makes the requirement tolerant.
+    """
+    default = call_arg(call, 4, "default")
+    return default is not None and not (
+        isinstance(default, ast.Constant) and default.value is None
+    )
 
 
 def _sort_flow(flow: KnowFlow) -> None:

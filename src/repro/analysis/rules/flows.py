@@ -6,8 +6,10 @@ sites hidden behind wrappers (``ModuleSupervisor._publish``,
 ``TrafficStatsModule._publish_rate``) and single-assignment locals are
 resolved before liveness is judged.
 
-- **KL101** — knowgget read-before-any-write: a ``Requirement`` label or
-  a defaultless ``kb.get``/``get_knowgget`` read that no code ever puts.
+- **KL101** — knowgget read-before-any-write: a defaultless
+  ``Requirement`` label or ``kb.get``/``get_knowgget`` read that no code
+  ever puts.  A ``default=`` on either names what an absent knowgget
+  means, so it may legitimately never be written.
   The module can never activate (paper §IV-B4): "no alerts" and "module
   never activated" look identical at runtime, so this must be static.
   Config-driven ``put_static`` injection is an operator override, not a
@@ -24,8 +26,14 @@ resolved before liveness is judged.
 - **KL104** — module contract drift: a detection module whose code
   strictly reads (``get``/``get_knowgget`` without ``default=``) a
   knowgget its ``REQUIREMENTS`` never declare and the module itself
-  never writes.  Tolerant list-reads (``with_label``/``sublabels``) and
-  defaulted reads are the sanctioned way to consume optional knowledge.
+  never writes (WARNING).  Tolerant list-reads (``with_label``/
+  ``sublabels``) and defaulted reads are the sanctioned way to consume
+  optional knowledge — except inside ``required()``: the Module Manager
+  re-checks a module's activation only when a knowgget its
+  ``REQUIREMENTS`` declare changes, so *any* read there of another
+  label, defaulted or not, lets activation go stale (ERROR).  Only reads
+  written directly in the class's own ``required`` body are seen, and
+  the class must declare the label itself.
 """
 
 from __future__ import annotations
@@ -87,8 +95,8 @@ class KnowggetLivenessRule(Rule):
             kind, label = site.pattern
             if kind != "exact" or label is None:
                 continue
-            strict = site.via == "requirement" or (
-                site.via in _STRICT_READS and not site.has_default
+            strict = not site.has_default and (
+                site.via == "requirement" or site.via in _STRICT_READS
             )
             if not strict or flow.written(label):
                 continue
@@ -236,25 +244,29 @@ class ContractDriftRule(Rule):
 
     def check(self, project: Project) -> Iterable[Finding]:
         flow = _shared_flow(project)
-        # Only classes that declare Requirements have a contract to
-        # drift from; others are free-form consumers.
         contracts = flow.requirement_labels
-        if not contracts:
-            return
         writes_by_owner: Dict[str, List[FlowSite]] = {}
         for site in flow.writes:
             if site.owner:
                 writes_by_owner.setdefault(site.owner, []).append(site)
         for site in flow.reads:
             owner = site.owner
-            if owner is None or owner not in contracts:
+            if owner is None or site.via == "requirement":
+                continue
+            required = contracts.get(owner, set())
+            kind, label = site.pattern
+            if site.function == f"{owner}.required":
+                if kind != "exact" or label not in required:
+                    yield self._stale_activation_read(site)
+                continue
+            # Only classes that declare Requirements have a contract to
+            # drift from; others are free-form consumers.
+            if owner not in contracts:
                 continue
             if site.via not in _STRICT_READS or site.has_default:
                 continue
-            kind, label = site.pattern
             if kind != "exact" or label is None:
                 continue
-            required = contracts[owner]
             if label in required:
                 continue
             if any(
@@ -277,3 +289,17 @@ class ContractDriftRule(Rule):
                 " (default= / with_label)",
                 key=f"{owner}:{label}",
             )
+
+    def _stale_activation_read(self, site: FlowSite) -> Finding:
+        """A ``required()`` read of a label REQUIREMENTS do not declare."""
+        return self.finding(
+            Severity.ERROR,
+            site.path,
+            site.line,
+            f"{site.owner}.required reads knowgget {site.render()!r} that"
+            " its REQUIREMENTS do not declare — the Module Manager re-checks"
+            " activation only when a declared knowgget changes, so this"
+            " module's activation would go stale; declare it as a"
+            " Requirement (default= for optional knowledge)",
+            key=f"{site.owner}.required:{site.render()}",
+        )

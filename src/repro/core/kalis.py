@@ -174,13 +174,14 @@ class KalisNode:
     def rebuild_derived_state(self) -> None:
         """Restore hook: recompute this node's derived caches.
 
-        The node's own layers keep almost no derived state — the data
-        store's timestamp ring is the one cache rebuilt here; the rest
-        (knowledge base, manager tables, supervisor breaker state,
-        alert sink, dead letters) is primary state carried verbatim by
-        the snapshot.
+        The node's own layers keep little derived state — the data
+        store's timestamp ring and the manager's requirement index are
+        the caches rebuilt here; the rest (knowledge base, activation
+        and forced-active tables, supervisor breaker state, alert sink,
+        dead letters) is primary state carried verbatim by the snapshot.
         """
         self.datastore.rebuild_derived_state()
+        self.manager.rebuild_derived_state()
 
     # -- construction helpers -------------------------------------------------------
 

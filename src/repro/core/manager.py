@@ -3,10 +3,17 @@
 "Coordinates all the modules, activating/deactivating them as needed,
 depending on changes in the Knowledge Base, routing new packet events to
 all the interested parties, and collecting alerts about detected
-incidents" (§IV-B4).  Activation is publish-subscribe: the manager
-subscribes to all knowledge changes and re-evaluates each module's
-declarative requirements whenever the Knowledge Base moves (§V,
-"Dynamic Detection Module Configuration").
+incidents" (§IV-B4).  Activation is publish-subscribe (§V, "Dynamic
+Detection Module Configuration"): the manager subscribes to all
+knowledge changes and re-derives activation per requirement label.  At
+registration each module whose activation can change (knowledge-driven,
+not forced active, not sensing) is indexed under the knowledge topic
+``knowledge.<owner>$<label>`` of every label its ``REQUIREMENTS``
+declare; a change re-checks only the modules indexed under its topic.
+Most changes are traffic rates no requirement reads, and cost one dict
+lookup.  The index is sound because a module's activation may depend
+only on its declared ``REQUIREMENTS`` — kalis-lint KL104 rejects a
+knowledge read of any other label inside ``required()``.
 
 The manager is also where the **traditional-IDS baseline** lives: with
 ``knowledge_driven=False`` every registered module is active at all
@@ -37,10 +44,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.core.datastore import DataStore
-from repro.core.knowledge import KnowledgeBase
+from repro.core.knowledge import KNOWLEDGE_TOPIC_PREFIX, KnowledgeBase, encode_key
 from repro.core.modules.base import KalisModule, ModuleContext, SensingModule
 from repro.eventbus.bus import EventBus
 from repro.sim.capture import Capture
@@ -303,6 +310,10 @@ class ModuleManager:
         self.activation_events = 0
         self.deactivation_events = 0
         self._reevaluating = False
+        #: Knowledge topic -> the modules whose requirements read that
+        #: knowgget, in registration order.  Derived from the registered
+        #: modules (:meth:`rebuild_derived_state`).
+        self._index_cache: Dict[str, List[KalisModule]] = {}
         kb.subscribe_all(self._on_knowledge_change)
 
     # -- registration -----------------------------------------------------------
@@ -325,8 +336,29 @@ class ModuleManager:
         self.supervisor.track(module.NAME)
         if force_active:
             self._forced_active.add(module.NAME)
+        self._index(module)
         self._apply_state(module)
         return module
+
+    def _index(self, module: KalisModule) -> None:
+        """File a module under the knowledge topics its requirements read."""
+        if not self._adaptive(module):
+            return
+        for requirement in module.REQUIREMENTS:
+            topic = KNOWLEDGE_TOPIC_PREFIX + encode_key(self.kb.owner, requirement.label)
+            watchers = self._index_cache.setdefault(topic, [])
+            if module not in watchers:
+                watchers.append(module)
+
+    def rebuild_derived_state(self) -> None:
+        """Restore hook: re-derive the requirement index from the modules.
+
+        A snapshot may predate the index or carry a stale one; either
+        way it is a pure function of the registered modules.
+        """
+        self._index_cache = {}
+        for module in self.modules():
+            self._index(module)
 
     def module(self, name: str) -> KalisModule:
         return self._modules[name]
@@ -342,13 +374,17 @@ class ModuleManager:
 
     # -- activation --------------------------------------------------------------
 
+    def _adaptive(self, module: KalisModule) -> bool:
+        """Can knowledge change this module's activation at all?"""
+        # Sensing modules are the knowledge source; they run always.
+        return (
+            self.knowledge_driven
+            and module.NAME not in self._forced_active
+            and not isinstance(module, SensingModule)
+        )
+
     def _should_be_active(self, module: KalisModule) -> bool:
-        if not self.knowledge_driven:
-            return True
-        if module.NAME in self._forced_active:
-            return True
-        if isinstance(module, SensingModule):
-            # Sensing modules are the knowledge source; they run always.
+        if not self._adaptive(module):
             return True
         try:
             return module.required(self.kb)
@@ -371,19 +407,26 @@ class ModuleManager:
             module.on_deactivate()
             self.deactivation_events += 1
 
-    def reevaluate(self) -> None:
-        """Re-derive every module's activation from current knowledge."""
+    def reevaluate(self, modules: Iterable[KalisModule]) -> None:
+        """Re-derive the given modules' activation from current knowledge.
+
+        The knowledge-change handler passes the modules indexed under the
+        changed knowgget; ``reevaluate(manager.modules())`` re-derives
+        every module, which must then change nothing.
+        """
         if self._reevaluating:
             return  # activation hooks may write knowggets; don't recurse
         self._reevaluating = True
         try:
-            for module in self.modules():
+            for module in modules:
                 self._apply_state(module)
         finally:
             self._reevaluating = False
 
     def _on_knowledge_change(self, event) -> None:
-        self.reevaluate()
+        modules = self._index_cache.get(event.topic)
+        if modules:
+            self.reevaluate(modules)
 
     # -- capture routing --------------------------------------------------------------
 

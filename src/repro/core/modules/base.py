@@ -13,7 +13,9 @@ evaluates them.  Declarative requirements buy two things:
 An *unknown* knowgget (never written) leaves a requirement unsatisfied,
 so detection modules stay dormant until sensing modules have actually
 established the relevant feature — the behaviour the paper's reactivity
-experiment (§VI-C) relies on.
+experiment (§VI-C) relies on.  A requirement on an a-priori knowgget an
+operator may never configure (``IntegrityProtection``) instead names
+the ``default`` an absent knowgget counts as.
 """
 
 from __future__ import annotations
@@ -42,31 +44,41 @@ class Requirement:
     :param expect: type to parse the stored value as.
     :param negate: invert the predicate (``label != equals``); an absent
         knowgget still fails, preserving activate-only-on-knowledge.
+    :param default: the value an absent knowgget counts as; None (the
+        default) means an absent knowgget fails the predicate.
     """
 
     label: str
     equals: Any = EXISTS
     expect: type = bool
     negate: bool = False
+    default: Any = None
 
     def satisfied(self, kb: KnowledgeBase) -> bool:
         knowgget = kb.get_knowgget(self.label)
-        if knowgget is None:
+        if knowgget is None and self.default is None:
             return False
         if self.equals is EXISTS:
             return not self.negate
-        try:
-            value = knowgget.parsed(self.expect)
-        except (ValueError, TypeError):
-            return False
+        if knowgget is None:
+            value = self.default
+        else:
+            try:
+                value = knowgget.parsed(self.expect)
+            except (ValueError, TypeError):
+                return False
         matches = value == self.equals
         return not matches if self.negate else matches
 
     def describe(self) -> str:
         if self.equals is EXISTS:
-            return f"{self.label} exists"
-        operator = "!=" if self.negate else "=="
-        return f"{self.label} {operator} {self.equals!r}"
+            text = f"{self.label} exists"
+        else:
+            operator = "!=" if self.negate else "=="
+            text = f"{self.label} {operator} {self.equals!r}"
+        if self.default is not None:
+            text += f" (absent counts as {self.default!r})"
+        return text
 
 
 class ModuleContext:
@@ -149,7 +161,13 @@ class KalisModule:
         self.ctx = ctx
 
     def required(self, kb: KnowledgeBase) -> bool:
-        """Should this module be active given the current knowledge?"""
+        """Should this module be active given the current knowledge?
+
+        The answer may depend only on the knowggets :attr:`REQUIREMENTS`
+        declare: the Module Manager re-checks a module only when one of
+        those changes, so an override reading any other label would go
+        stale (kalis-lint KL104 flags such a read).
+        """
         return all(requirement.satisfied(kb) for requirement in self.REQUIREMENTS)
 
     def on_activate(self) -> None:

@@ -1,0 +1,233 @@
+"""The Module Manager's requirement index against full re-evaluation.
+
+A knowledge change re-checks only the modules indexed under its topic.
+The oracle: after every change, re-deriving *every* module with
+``reevaluate(manager.modules())`` must change nothing — no activation
+flag, no activation/deactivation count, no hook call.
+"""
+
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.datastore import DataStore
+from repro.core.kalis import DEFAULT_DETECTION_MODULES, DEFAULT_SENSING_MODULES
+from repro.core.knowledge import Knowgget, KnowledgeBase, encode_value
+from repro.core.manager import ModuleManager
+from repro.core.modules.base import DetectionModule, Requirement
+from repro.core.modules.registry import create_module, module_class
+from repro.eventbus.bus import EventBus
+from repro.taxonomy.by_feature import FEATURES
+from repro.taxonomy.modules_map import MODULES_FOR_ATTACK, feature_knowledge
+from repro.util.ids import NodeId
+
+OWNER = NodeId("kalis-1")
+PEER = NodeId("kalis-2")
+ENTITY = NodeId("x")
+
+
+class _CountModule(DetectionModule):
+    """Several requirements on one label, a negation and a default."""
+
+    NAME = "CountModule"
+    DETECTS = ("x",)
+    REQUIREMENTS = (
+        Requirement(label="Count", equals=3, expect=int),
+        Requirement(label="Count", equals=4, expect=int, negate=True),
+        Requirement(label="Mobility", equals=True, negate=True, default=False),
+    )
+
+
+#: Every label a requirement in the default library (plus the custom
+#: module above) reads, and every Figure 3 feature label — the latter
+#: independent of what ``REQUIREMENTS`` happen to declare.
+REQUIRED_LABELS = sorted(
+    {
+        requirement.label
+        for name in DEFAULT_DETECTION_MODULES
+        for requirement in module_class(name).REQUIREMENTS
+    }
+    | {requirement.label for requirement in _CountModule.REQUIREMENTS}
+    | {
+        feature_knowledge(attack, feature)[0]
+        for attack in MODULES_FOR_ATTACK
+        for feature in FEATURES
+    }
+)
+#: Labels no requirement reads (traffic rates, signal strength).
+NOISE_LABELS = ["TrafficIn.icmp", "TrafficFrequency.ICMP", "SignalStrength"]
+
+
+def _values_for(label):
+    if label == "Count":
+        return [3, 4, "garbage"]
+    if label in NOISE_LABELS:
+        return [1.5]
+    return [True, False, "garbage"]
+
+
+assignments = st.sampled_from(
+    [
+        (label, value)
+        for label in REQUIRED_LABELS + NOISE_LABELS
+        for value in _values_for(label)
+    ]
+)
+entities = st.sampled_from([None, None, None, ENTITY])
+steps = st.builds(
+    lambda kind, assignment, entity: (kind, *assignment, entity),
+    st.sampled_from(["put", "put", "put_static", "remove", "apply_remote"]),
+    assignments,
+    entities,
+)
+
+
+def _count_hooks(module, calls: Counter) -> None:
+    for hook in ("on_activate", "on_deactivate"):
+        original = getattr(module, hook)
+
+        def counted(original=original, hook=hook):
+            calls[(module.NAME, hook)] += 1
+            original()
+
+        setattr(module, hook, counted)
+
+
+def _library(forced=()):
+    names = list(DEFAULT_SENSING_MODULES) + list(DEFAULT_DETECTION_MODULES)
+    modules = [(create_module(name), name in forced) for name in names]
+    modules.append((_CountModule(), False))
+    return modules
+
+
+def _managers(kb):
+    """A knowledge-driven manager (two modules forced active) and an
+    all-on one, both watching one knowledge base."""
+    built = []
+    for knowledge_driven, forced in (
+        (True, ("SmurfModule", "SybilModule")),
+        (False, ()),
+    ):
+        manager = ModuleManager(
+            kb=kb, datastore=DataStore(), bus=kb.bus, node_id=OWNER,
+            knowledge_driven=knowledge_driven,
+        )
+        calls: Counter = Counter()
+        for module, force in _library(forced):
+            _count_hooks(module, calls)
+            manager.register(module, force_active=force)
+        built.append((manager, calls))
+    return built
+
+
+def _apply(kb, step) -> None:
+    kind, label, value, entity = step
+    if kind == "put":
+        kb.put(label, value, entity=entity)
+    elif kind == "remove":
+        kb.remove(label, entity=entity)
+    elif kind == "put_static":
+        kb.put_static(label, value, entity=entity)
+    else:
+        knowgget = Knowgget(
+            label=label, value=encode_value(value), creator=PEER,
+            entity=entity, collective=True,
+        )
+        assert kb.apply_remote(knowgget, sender=PEER)
+
+
+def _observed(manager, calls):
+    return (
+        manager.activation_table(),
+        manager.activation_events,
+        manager.deactivation_events,
+        dict(calls),
+    )
+
+
+class TestIndexMatchesFullReevaluation:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(steps, max_size=30))
+    def test_full_reevaluation_changes_nothing(self, sequence):
+        kb = KnowledgeBase(OWNER, EventBus())
+        managers = _managers(kb)
+        for step in sequence:
+            _apply(kb, step)
+            for manager, calls in managers:
+                before = _observed(manager, calls)
+                manager.reevaluate(manager.modules())
+                assert _observed(manager, calls) == before, step
+        assert kb.bus.error_count == 0
+
+
+class TestIndexedRecheck:
+    def _manager(self, knowledge_driven=True):
+        kb = KnowledgeBase(OWNER, EventBus())
+        manager = ModuleManager(
+            kb=kb, datastore=DataStore(), bus=kb.bus, node_id=OWNER,
+            knowledge_driven=knowledge_driven,
+        )
+        return manager, kb
+
+    def _spy_reevaluate(self, manager):
+        rechecked = []
+        original = manager.reevaluate
+
+        def spy(modules):
+            modules = list(modules)
+            rechecked.append([module.NAME for module in modules])
+            original(modules)
+
+        manager.reevaluate = spy
+        return rechecked
+
+    def test_change_rechecks_only_the_modules_requiring_it(self):
+        manager, kb = self._manager()
+        for name in DEFAULT_SENSING_MODULES + DEFAULT_DETECTION_MODULES:
+            manager.register(create_module(name))
+        rechecked = self._spy_reevaluate(manager)
+        kb.put("Multihop.wifi", False)
+        assert rechecked == [["IcmpFloodModule", "SmurfModule", "SynFloodModule"]]
+        assert manager.module("IcmpFloodModule").active
+
+    def test_unrequired_changes_recheck_nothing(self):
+        manager, kb = self._manager()
+        for name in DEFAULT_SENSING_MODULES + DEFAULT_DETECTION_MODULES:
+            manager.register(create_module(name))
+        rechecked = self._spy_reevaluate(manager)
+        kb.put("TrafficIn.icmp", 4.0, entity=ENTITY)
+        kb.put("SignalStrength", -60.0, entity=ENTITY)
+        kb.put("Multihop.wifi", False, entity=ENTITY)  # per-entity
+        kb.apply_remote(
+            Knowgget(label="Multihop.wifi", value="false", creator=PEER),
+            sender=PEER,
+        )
+        assert rechecked == []
+        assert not manager.module("IcmpFloodModule").active
+
+    def test_removal_rechecks_by_topic(self):
+        manager, kb = self._manager()
+        module = manager.register(create_module("IcmpFloodModule"))
+        kb.put("Multihop.wifi", False)
+        assert module.active
+        kb.remove("Multihop.wifi")
+        assert not module.active
+
+    def test_all_on_manager_rechecks_nothing(self):
+        manager, kb = self._manager(knowledge_driven=False)
+        for name in DEFAULT_SENSING_MODULES + DEFAULT_DETECTION_MODULES:
+            manager.register(create_module(name))
+        rechecked = self._spy_reevaluate(manager)
+        kb.put("Multihop.wifi", False)
+        kb.put("Multihop.802154", True)
+        assert rechecked == []
+        assert all(manager.activation_table().values())
+
+    def test_forced_active_module_is_not_rechecked(self):
+        manager, kb = self._manager()
+        module = manager.register(create_module("IcmpFloodModule"), force_active=True)
+        rechecked = self._spy_reevaluate(manager)
+        kb.put("Multihop.wifi", True)
+        assert rechecked == []
+        assert module.active

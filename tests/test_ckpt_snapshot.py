@@ -5,13 +5,17 @@ import pickle
 import pytest
 
 from repro.ckpt import (
+    Deployment,
     SnapshotCorrupt,
     canonical_outputs,
     capture,
     restore,
 )
+from repro.core.kalis import KalisNode
 from repro.experiments.soak_scenario import build_e1_deployment
 from repro.obs import Telemetry
+from repro.sim.engine import Simulator
+from repro.util.ids import NodeId
 
 
 def _run_plain(seed=7, instances=6):
@@ -93,6 +97,21 @@ class TestCaptureRestore:
         payload = pickle.dumps({"not": "a deployment"})
         with pytest.raises(SnapshotCorrupt, match="expected Deployment"):
             restore(payload)
+
+
+class TestRestoreSeams:
+    def test_snapshot_without_requirement_index_still_activates(self):
+        """A node pickled before the manager kept a requirement index
+        rebuilds it on restore; without that, every knowledge change
+        would dead-letter in the manager's handler and activation would
+        silently freeze."""
+        node = KalisNode(NodeId("kalis-1"))
+        del node.manager._index_cache  # the older snapshot layout
+        deployment = Deployment(sim=Simulator(seed=7), kalis_nodes=[node], end_time=1.0)
+        restored = restore(capture(deployment)).kalis_nodes[0]
+        restored.kb.put("Multihop.wifi", False)
+        assert restored.manager.module("IcmpFloodModule").active
+        assert restored.deadletters == []
 
 
 class TestDeployment:

@@ -4,6 +4,7 @@ data alteration, sinkhole, wormhole."""
 
 from repro.core.datastore import DataStore
 from repro.core.knowledge import KnowledgeBase
+from repro.core.manager import ModuleManager
 from repro.core.modules.base import ModuleContext
 from repro.core.modules.detection.data_alteration import DataAlterationModule
 from repro.core.modules.detection.forwarding import ForwardingMisbehaviorModule
@@ -202,6 +203,23 @@ class TestDataAlteration:
         assert module.required(kb)
         kb.put("IntegrityProtection", True)
         assert not module.required(kb)
+
+    def test_late_integrity_protection_puts_managed_module_to_sleep(self):
+        """IntegrityProtection arriving *after* activation must re-check
+        the module, so the manager's index has to cover that label too."""
+        bus = EventBus()
+        kb = KnowledgeBase(KALIS, bus)
+        manager = ModuleManager(
+            kb=kb, datastore=DataStore(), bus=bus, node_id=KALIS
+        )
+        module = manager.register(DataAlterationModule())
+        kb.put("Multihop.802154", True)
+        assert module.active
+        kb.put_static("IntegrityProtection", True)
+        assert not module.active
+        kb.remove("IntegrityProtection")
+        assert module.active
+        assert manager.supervisor.failures == []
 
 
 class TestSinkhole:

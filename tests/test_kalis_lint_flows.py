@@ -105,6 +105,33 @@ class TestKL101KnowggetLiveness:
         )
         assert findings == []
 
+    def test_defaulted_requirement_is_tolerant(self, tmp_path):
+        """``default=`` names what an absent knowgget means, so an
+        a-priori label no code writes is no dead requirement."""
+        files = {
+            "repro/core/modules/detection/ghost.py": """
+            from repro.core.modules.base import Requirement
+
+            class GhostModule:
+                REQUIREMENTS = (
+                    Requirement(label="NeverWritten", equals=False, default=False),
+                )
+            """,
+        }
+        assert run(tmp_path, files, "KL101") == []
+
+    def test_none_default_requirement_is_still_strict(self, tmp_path):
+        files = {
+            "repro/core/modules/detection/ghost.py": """
+            from repro.core.modules.base import Requirement
+
+            class GhostModule:
+                REQUIREMENTS = (Requirement(label="NeverWritten", default=None),)
+            """,
+        }
+        findings = run(tmp_path, files, "KL101")
+        assert [f.key for f in findings] == ["NeverWritten"]
+
     def test_dynamic_put_silences_rule(self, tmp_path):
         """An unanalyzable ``put`` could write anything — stay quiet."""
         files = dict(self.VIOLATION)
@@ -320,6 +347,76 @@ class TestKL104ContractDrift:
                 return self.ctx.kb.get("Undeclared", str)
         """
         assert run(tmp_path, files, "KL104") == []
+
+
+class TestKL104ActivationReads:
+    """Reads inside ``required()`` must be declared: the Module Manager
+    re-checks a module only when a knowgget its REQUIREMENTS name
+    changes."""
+
+    #: The shape of DataAlterationModule before IntegrityProtection was
+    #: declared: a defaulted read the requirement index never sees.
+    VIOLATION = {
+        "repro/core/modules/detection/altered.py": """
+        from repro.core.modules.base import DetectionModule, Requirement
+
+        class AlteredModule(DetectionModule):
+            REQUIREMENTS = (Requirement(label="Multihop.802154", equals=True),)
+
+            def required(self, kb):
+                if not super().required(kb):
+                    return False
+                return not kb.get("IntegrityProtection", bool, default=False)
+        """,
+    }
+
+    def test_undeclared_read_in_required_is_an_error(self, tmp_path):
+        findings = run(tmp_path, self.VIOLATION, "KL104")
+        assert [f.key for f in findings] == [
+            "AlteredModule.required:IntegrityProtection"
+        ]
+        assert findings[0].severity.value == "error"
+
+    def test_clean_twin_declares_a_defaulted_requirement(self, tmp_path):
+        files = {
+            "repro/core/modules/detection/altered.py": """
+            from repro.core.modules.base import DetectionModule, Requirement
+
+            class AlteredModule(DetectionModule):
+                REQUIREMENTS = (
+                    Requirement(label="Multihop.802154", equals=True),
+                    Requirement(
+                        label="IntegrityProtection", equals=False, default=False
+                    ),
+                )
+            """,
+        }
+        assert run(tmp_path, files, "KL104") == []
+
+    def test_declared_read_in_required_passes(self, tmp_path):
+        files = {
+            "repro/core/modules/detection/altered.py": """
+            from repro.core.modules.base import DetectionModule, Requirement
+
+            class AlteredModule(DetectionModule):
+                REQUIREMENTS = (Requirement(label="Multihop.802154"),)
+
+                def required(self, kb):
+                    return kb.get("Multihop.802154", bool, default=False)
+            """,
+        }
+        assert run(tmp_path, files, "KL104") == []
+
+    def test_class_without_requirements_declares_nothing(self, tmp_path):
+        files = {
+            "repro/core/modules/detection/altered.py": """
+            class AlteredModule:
+                def required(self, kb):
+                    return kb.get_knowgget("Mobility") is not None
+            """,
+        }
+        findings = run(tmp_path, files, "KL104")
+        assert [f.key for f in findings] == ["AlteredModule.required:Mobility"]
 
 
 class TestKL105DeterminismTaint:

@@ -63,6 +63,29 @@ class TestRequirement:
         assert "Multihop == True" in Requirement(label="Multihop", equals=True).describe()
         assert "exists" in Requirement(label="Multihop").describe()
 
+    def test_absent_knowgget_counts_as_default(self):
+        kb = make_kb()
+        requirement = Requirement(label="Integrity", equals=False, default=False)
+        assert requirement.satisfied(kb)
+        assert not Requirement(label="Integrity", equals=True, default=False).satisfied(kb)
+        kb.put("Integrity", True)
+        assert not requirement.satisfied(kb)
+        kb.remove("Integrity")
+        assert requirement.satisfied(kb)
+        assert Requirement(
+            label="Integrity", equals=True, negate=True, default=False
+        ).satisfied(kb)
+
+    def test_unparseable_value_fails_despite_default(self):
+        kb = make_kb()
+        kb.put("Integrity", "maybe")
+        assert not Requirement(label="Integrity", equals=False, default=False).satisfied(kb)
+
+    def test_describe_names_the_default(self):
+        text = Requirement(label="Integrity", equals=False, default=False).describe()
+        assert text == "Integrity == False (absent counts as False)"
+        assert "absent" not in Requirement(label="Integrity", equals=False).describe()
+
 
 class _CountingModule(DetectionModule):
     NAME = "CountingModule"
