@@ -194,9 +194,10 @@ class ModuleSupervisor:
 
     def track(self, name: str) -> ModuleHealth:
         """Start (or fetch) supervision state for a module."""
-        if name not in self._health:
-            self._health[name] = ModuleHealth(module=name)
-        return self._health[name]
+        health = self._health.get(name)
+        if health is None:
+            health = self._health[name] = ModuleHealth(module=name)
+        return health
 
     def health(self, name: str) -> ModuleHealth:
         return self._health[name]
@@ -437,50 +438,56 @@ class ModuleManager:
         remaining modules still see the capture), repeated failures
         quarantine it, and quarantined modules are skipped — and charged
         no work — until their cooldown elapses and a probe restores them.
+        A module whose breaker is healthy with no consecutive failures
+        goes straight to ``handle``; the supervisor is called only where
+        it can change breaker state.  With telemetry bound, each routed
+        call is also counted, run inside a ``module.handle`` span and
+        timed.
         """
-        self.supervisor.advance_to(capture.timestamp)
+        supervisor = self.supervisor
+        supervisor.advance_to(capture.timestamp)
         telemetry = self.telemetry
-        node = str(self.node_id) if telemetry is not None else None
-        for module in self.modules():
+        if telemetry is not None:
+            node = str(self.node_id)
+            metrics = telemetry.metrics
+        healthy = ModuleState.HEALTHY
+        modules = self._modules
+        for name in self._order:
+            module = modules[name]
             if not module.active:
                 continue
-            if not self.supervisor.should_route(module.NAME):
+            health = supervisor.track(name)
+            if health.state is not healthy and not supervisor.should_route(name):
                 continue
             self.work_units += module.COST_WEIGHT
-            if telemetry is None:
-                try:
-                    module.handle(capture)
-                except Exception as error:
-                    self.supervisor.record_failure(module.NAME, "handle", error)
-                else:
-                    self.supervisor.record_success(module.NAME)
-                continue
-            telemetry.metrics.counter("module_invocations_total").inc(
-                node=node, module=module.NAME
-            )
-            failed = False
-            with telemetry.span(
-                "module.handle",
-                node=node,
-                t=capture.timestamp,
-                module=module.NAME,
-            ) as span:
-                try:
-                    module.handle(capture)
-                except Exception as error:
-                    failed = True
-                    span.attrs["error"] = type(error).__name__
-                    self.supervisor.record_failure(module.NAME, "handle", error)
-            if failed:
-                telemetry.metrics.counter("module_failures_total").inc(
-                    node=node, module=module.NAME
+            if telemetry is not None:
+                metrics.counter("module_invocations_total").inc(node=node, module=name)
+                timer = telemetry.span(
+                    "module.handle", node=node, t=capture.timestamp, module=name
                 )
+            try:
+                module.handle(capture)
+            except Exception as error:
+                failed = True
+                if telemetry is not None:
+                    timer.span.attrs["error"] = type(error).__name__
+                supervisor.record_failure(name, "handle", error)
             else:
-                self.supervisor.record_success(module.NAME)
-            if span.wall_us is not None:
-                telemetry.metrics.histogram(
-                    "module_handle_wall_us", wall=True
-                ).observe(span.wall_us, node=node, module=module.NAME)
+                failed = False
+            finally:
+                if telemetry is not None:  # as leaving a ``with`` block would
+                    timer.__exit__(None, None, None)
+            if failed:
+                if telemetry is not None:
+                    metrics.counter("module_failures_total").inc(
+                        node=node, module=name
+                    )
+            elif health.state is not healthy or health.consecutive_failures:
+                supervisor.record_success(name)
+            if telemetry is not None and timer.span.wall_us is not None:
+                metrics.histogram("module_handle_wall_us", wall=True).observe(
+                    timer.span.wall_us, node=node, module=name
+                )
 
     # -- resource accounting -------------------------------------------------------------
 

@@ -153,31 +153,35 @@ class EventBus:
         exact under failure — only handlers that returned normally count.
         """
         event = Event(topic=topic, payload=payload)
-        self._stats.published += 1
-        self._stats.per_topic[topic] = self._stats.per_topic.get(topic, 0) + 1
+        stats = self._stats
+        stats.published += 1
+        stats.per_topic[topic] = stats.per_topic.get(topic, 0) + 1
 
-        targets: List[Subscription] = []
-        targets.extend(self._exact.get(topic, ()))
-        targets.extend(s for s in self._prefix if topic.startswith(s.topic))
+        # Dispatch walks this fresh list, so the target set is fixed at
+        # publish time: handlers may subscribe or unsubscribe meanwhile.
+        exact = self._exact.get(topic)
+        targets: List[Subscription] = list(exact) if exact else []
+        for subscription in self._prefix:
+            if topic.startswith(subscription.topic):
+                targets.append(subscription)
 
         if not targets:
-            self._stats.dropped += 1
+            stats.dropped += 1
             return 0
 
         self._dispatching += 1
         delivered = 0
         failures: List[DeadLetter] = []
         try:
-            # Iterate over a snapshot so handlers may subscribe/unsubscribe.
-            for subscription in list(targets):
+            for subscription in targets:
                 if not subscription.active:
                     continue
                 try:
                     subscription.handler(event)
                 except Exception as error:
-                    self._stats.errors += 1
-                    self._stats.errors_per_topic[topic] = (
-                        self._stats.errors_per_topic.get(topic, 0) + 1
+                    stats.errors += 1
+                    stats.errors_per_topic[topic] = (
+                        stats.errors_per_topic.get(topic, 0) + 1
                     )
                     failures.append(
                         DeadLetter(
@@ -195,7 +199,7 @@ class EventBus:
                 for stale in self._pending_unsubscribes:
                     self._remove(stale)
                 self._pending_unsubscribes.clear()
-        self._stats.delivered += delivered
+        stats.delivered += delivered
         telemetry = self._telemetry
         if telemetry is not None:
             labels = {"topic": topic}

@@ -115,9 +115,11 @@ class Packet:
 
     def find_layer(self, layer_type: Type[P]) -> Optional[P]:
         """Return the first layer of ``layer_type`` in the stack, or None."""
-        for layer in self.layers():
+        layer: Optional[Packet] = self
+        while layer is not None:
             if isinstance(layer, layer_type):
                 return layer
+            layer = layer.payload
         return None
 
     def has_layer(self, layer_type: Type["Packet"]) -> bool:

@@ -39,6 +39,16 @@ class NodeId:
                 f"invalid node id {self.value!r}: must match {_ID_PATTERN.pattern}"
             )
 
+    # Hand-written rather than generated: the generated pair builds a
+    # one-element tuple on every dict lookup keyed by a NodeId.
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, NodeId):
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
     def __str__(self) -> str:
         return self.value
 

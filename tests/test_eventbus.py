@@ -1,8 +1,17 @@
 """Tests for the synchronous pub-sub bus."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.eventbus.bus import DEADLETTER_TOPIC, DeadLetter, EventBus
+from repro.eventbus.bus import (
+    DEADLETTER_TOPIC,
+    DeadLetter,
+    Event,
+    EventBus,
+    Subscription,
+)
+from repro.util.naming import callable_name
 
 
 @pytest.fixture
@@ -192,3 +201,163 @@ class TestExceptionSafety:
         bus.publish("t")
         assert received == [1, 1]
         assert bus.error_count == 1
+
+
+# -- reference model --------------------------------------------------------------
+
+
+class ReferenceBus:
+    """The documented dispatch semantics, written as plainly as possible.
+
+    A publish fixes its targets up front: the live exact subscribers,
+    then the live matching prefix subscribers, each in subscription
+    order.  A target unsubscribed before its turn is skipped.  Handler
+    failures are re-published as dead letters after the dispatch, except
+    failures of dead-letter handlers themselves.
+    """
+
+    def __init__(self):
+        self.subscriptions = []
+        self.published_count = 0
+        self.delivered_count = 0
+        self.error_count = 0
+
+    def subscribe(self, topic, handler):
+        return self._add(Subscription(topic=topic, prefix=False, handler=handler))
+
+    def subscribe_prefix(self, prefix, handler):
+        return self._add(Subscription(topic=prefix, prefix=True, handler=handler))
+
+    def _add(self, subscription):
+        self.subscriptions.append(subscription)
+        return subscription
+
+    def unsubscribe(self, subscription):
+        subscription.active = False
+
+    def subscriber_count(self):
+        return sum(1 for s in self.subscriptions if s.active)
+
+    def publish(self, topic, payload=None):
+        self.published_count += 1
+        event = Event(topic=topic, payload=payload)
+        live = [s for s in self.subscriptions if s.active]
+        targets = [s for s in live if not s.prefix and s.topic == topic]
+        targets += [s for s in live if s.prefix and topic.startswith(s.topic)]
+        delivered = 0
+        letters = []
+        for subscription in targets:
+            if not subscription.active:
+                continue
+            try:
+                subscription.handler(event)
+            except Exception as error:
+                self.error_count += 1
+                letters.append(DeadLetter(
+                    topic=topic, event=event,
+                    handler=callable_name(subscription.handler), error=error,
+                ))
+            else:
+                delivered += 1
+        self.delivered_count += delivered
+        if topic != DEADLETTER_TOPIC:
+            for letter in letters:
+                self.publish(DEADLETTER_TOPIC, letter)
+        return delivered
+
+
+class ScriptRunner:
+    """Replays one operation script against a bus, logging what it saw.
+
+    A handler's behaviour is ``(action, raises)``: the action runs on the
+    bus mid-dispatch (subscribe a new handler, unsubscribe a peer, or
+    publish again, three levels deep at most), then the handler raises
+    if ``raises`` is set.
+    """
+
+    MAX_DEPTH = 3
+
+    def __init__(self, bus):
+        self.bus = bus
+        self.handles = []
+        self.log = []
+        self.depth = 0
+
+    def handler(self, behaviour):
+        hid = len(self.handles)
+        (kind, *args), raises = behaviour
+
+        def handler(event):
+            payload = event.payload
+            if isinstance(payload, DeadLetter):
+                payload = (payload.topic, payload.event.topic, payload.handler,
+                           str(payload.error))
+            self.log.append(("handled", hid, event.topic, payload))
+            if kind in ("subscribe", "subscribe_prefix"):
+                self.subscribe(kind, args[0], (("record",), False))
+            elif kind == "unsubscribe":
+                self.unsubscribe(args[0])
+            elif kind == "publish" and self.depth < self.MAX_DEPTH:
+                self.publish(args[0])
+            if raises:
+                raise RuntimeError(f"handler {hid}")
+
+        return handler
+
+    def subscribe(self, kind, topic, behaviour):
+        self.handles.append(getattr(self.bus, kind)(topic, self.handler(behaviour)))
+
+    def unsubscribe(self, index):
+        if self.handles:
+            self.bus.unsubscribe(self.handles[index % len(self.handles)])
+
+    def publish(self, topic):
+        self.depth += 1
+        try:
+            delivered = self.bus.publish(topic)
+        finally:
+            self.depth -= 1
+        self.log.append(("delivered", topic, delivered))
+
+    def run(self, script):
+        for kind, *args in script:
+            if kind == "publish":
+                self.publish(*args)
+            elif kind == "unsubscribe":
+                self.unsubscribe(*args)
+            else:
+                self.subscribe(kind, *args)
+        return self
+
+
+topics = st.sampled_from(["a", "a.b", "a.c", "b", DEADLETTER_TOPIC])
+prefixes = st.sampled_from(["a", "a.", "b", "bus."])
+actions = st.one_of(
+    st.just(("record",)),
+    st.tuples(st.just("subscribe"), topics),
+    st.tuples(st.just("subscribe_prefix"), prefixes),
+    st.tuples(st.just("unsubscribe"), st.integers(0, 30)),
+    st.tuples(st.just("publish"), topics),
+)
+scripts = st.lists(
+    st.one_of(
+        st.tuples(st.just("subscribe"), topics, st.tuples(actions, st.booleans())),
+        st.tuples(st.just("subscribe_prefix"), prefixes, st.tuples(actions, st.booleans())),
+        st.tuples(st.just("unsubscribe"), st.integers(0, 30)),
+        st.tuples(st.just("publish"), topics),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripts)
+def test_publish_matches_reference_model(script):
+    bus, reference = EventBus(), ReferenceBus()
+    actual = ScriptRunner(bus).run(script)
+    expected = ScriptRunner(reference).run(script)
+    assert actual.log == expected.log
+    assert bus.published_count == reference.published_count
+    assert bus.delivered_count == reference.delivered_count
+    assert bus.error_count == reference.error_count
+    assert bus.subscriber_count() == reference.subscriber_count()

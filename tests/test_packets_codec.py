@@ -160,3 +160,12 @@ def test_codec_roundtrip_property(packet):
 def test_size_is_nonnegative_and_consistent(packet):
     assert packet.size_bytes >= 0
     assert decode_packet(encode_packet(packet)).size_bytes == packet.size_bytes
+
+
+@given(outer_packets)
+def test_find_layer_is_first_match_in_layers(packet):
+    for layer_type in (Packet, *registered_packet_types().values()):
+        first = next(
+            (layer for layer in packet.layers() if isinstance(layer, layer_type)), None
+        )
+        assert packet.find_layer(layer_type) is first

@@ -1,9 +1,14 @@
 """Tests for node identifiers."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.net.packets.base import PacketKind
+from repro.net.packets.codec import decode_packet, encode_packet
+from repro.net.packets.ieee802154 import Ieee802154Frame
 from repro.util.ids import NodeId, make_node_id, node_id_sequence, stable_hash
 
 
@@ -40,9 +45,34 @@ class TestNodeId:
         assert NodeId("x") != NodeId("y")
         assert len({NodeId("x"), NodeId("x"), NodeId("y")}) == 2
 
+        # Equal ids reached three ways (constructed, decoded from a packet,
+        # unpickled) are distinct objects that compare and hash equal.
+        direct = NodeId("mote-7")
+        frame = Ieee802154Frame(pan_id=1, seq=0, src=direct, dst=NodeId("sink"))
+        decoded = decode_packet(encode_packet(frame)).src
+        unpickled = pickle.loads(pickle.dumps(direct))
+        for other in (decoded, unpickled):
+            assert other is not direct
+            assert other == direct and direct == other
+            assert hash(other) == hash(direct)
+
+        # Tuple keys, as the sliding-window counters use them, hit across
+        # distinct instances.
+        counts = {(PacketKind.CTP_DATA, direct): 1}
+        counts[(PacketKind.CTP_DATA, decoded)] += 1
+        assert counts == {(PacketKind.CTP_DATA, unpickled): 2}
+        assert (PacketKind.CTP_DATA, NodeId("mote-8")) not in counts
+
+        # A NodeId never equals its bare string.
+        assert NodeId("a") != "a" and "a" != NodeId("a")
+        assert not NodeId("a") == "a"
+        assert {NodeId("a"): 1}.get("a") is None
+
     def test_ordering_is_lexicographic(self):
         assert NodeId("a") < NodeId("b")
         assert sorted([NodeId("c"), NodeId("a")])[0] == NodeId("a")
+        values = ["mote-10", "mote-2", "Mote-1", "a:b", "a.b", "a_b"]
+        assert [n.value for n in sorted(map(NodeId, values))] == sorted(values)
 
     def test_with_suffix(self):
         assert NodeId("mote").with_suffix("clone") == NodeId("mote-clone")
