@@ -1,13 +1,15 @@
 """Jamming detection module.
 
-Required knowledge: an 802.15.4 network with an established traffic
-baseline (the Traffic Statistics module has published its
-``TrafficFrequency`` knowggets).  Jamming is the purest anomaly-based
-case in the library: there is no signature, only a **collapse of the
-ambient rate** relative to the network's own learned baseline —
-precisely the use the paper assigns to the Traffic Statistics module
+Required knowledge: only ``Multihop.802154`` — the node monitors an
+802.15.4 network.  The module reads no traffic knowggets: it keeps its
+own list of recent 802.15.4 capture timestamps and learns the ambient
+rate baseline from them.  Jamming is the purest anomaly-based case in
+the library: there is no signature, only a **collapse of the ambient
+rate** relative to the network's own learned baseline — the kind of
+detection the paper has the Traffic Statistics module support
 ("supports ... anomaly-based detection modules that can detect unknown
-attacks, even when their signature is not predetermined", §V).
+attacks, even when their signature is not predetermined", §V), done
+here from the module's own counts.
 
 Suspects are necessarily empty — a passive sniffer cannot localise a
 jammer from frame captures alone — so the alert carries the evidence

@@ -151,14 +151,12 @@ def render(points: List[ScalabilityPoint]) -> str:
 
 
 # --------------------------------------------------------------------------
-# Transmit-cost microbench: the frame-delivery fast path.
+# Transmit-cost microbench: the frame-delivery path.
 #
 # A flat 802.15.4 site at *constant density* (area grows with the node
-# count), driven with broadcast frames.  With the spatial index, each
-# transmission should only pay for the ~constant number of in-range
-# candidates — O(N * density) total — while the brute-force path pays
-# O(N^2).  The reception sets must match exactly (the index is provably
-# lossless; see DESIGN.md).
+# count), driven with broadcast frames.  Each transmission should only
+# pay for the ~constant number of candidates in the sender's grid
+# neighborhood — O(N * density) total, not O(N^2).
 # --------------------------------------------------------------------------
 
 #: Mean spacing of the flat site — the site side is ``sqrt(N) * spacing``,
@@ -168,42 +166,40 @@ NODE_SPACING_M = 40.0
 
 @dataclass
 class TransmitCostPoint:
-    """Indexed-vs-brute-force transmit cost at one network size."""
+    """Transmit cost of one timed broadcast pass at one network size.
+
+    Counters cover the timed pass only, not the warm-up before it.
+    """
 
     nodes: int
     frames: int
-    indexed_wall_s: float
-    brute_wall_s: float
-    indexed_candidates: int
-    brute_candidates: int
+    wall_s: float
+    candidate_evaluations: int
     deliveries: int
-    receptions_match: bool
-
-    @property
-    def speedup(self) -> float:
-        return self.brute_wall_s / self.indexed_wall_s
+    #: Receptions scheduled per timed frame, in send order.
+    receptions: List[int]
 
     @property
     def candidates_per_frame(self) -> float:
-        return self.indexed_candidates / self.frames if self.frames else 0.0
+        return self.candidate_evaluations / self.frames if self.frames else 0.0
+
+    @property
+    def receptions_per_frame(self) -> float:
+        return sum(self.receptions) / self.frames if self.frames else 0.0
 
 
-def _build_flat_site(
-    seed: int,
-    node_count: int,
-    use_spatial_index: bool,
-    use_batched_delivery: bool = True,
-) -> Tuple[Simulator, List[SimNode]]:
+def build_flat_site(seed: int, node_count: int) -> Tuple[Simulator, List[SimNode]]:
+    """The constant-density site, started and ready to broadcast.
+
+    Node ``i`` is ``n{i:04d}``; frame ``k`` of :func:`run_transmit_point`
+    is sent by node ``k % node_count``.
+    """
     side = math.sqrt(node_count) * NODE_SPACING_M
     positions = random_positions(
         node_count, (0.0, 0.0, side, side),
         rng=SeededRng(seed, "transmit-bench"),
     )
-    sim = Simulator(
-        seed=seed,
-        use_spatial_index=use_spatial_index,
-        use_batched_delivery=use_batched_delivery,
-    )
+    sim = Simulator(seed=seed)
     nodes = [
         sim.add_node(
             SimNode(
@@ -240,117 +236,44 @@ def _drive(
 def run_transmit_point(
     seed: int, node_count: int, frames: int
 ) -> TransmitCostPoint:
-    """Measure one network size, indexed and brute-force, same topology."""
-    sim_grid, nodes_grid = _build_flat_site(seed, node_count, True)
-    sim_brute, nodes_brute = _build_flat_site(seed, node_count, False)
-    grid_s, grid_receptions = _drive(sim_grid, nodes_grid, frames)
-    brute_s, brute_receptions = _drive(sim_brute, nodes_brute, frames)
+    """Time ``frames`` broadcasts at one network size.
+
+    The same sender rotation runs once untimed first, so the lazy
+    one-time setup (grid build, packed-cell and neighborhood caches)
+    doesn't smear into the steady-state timing.  The timed frames are
+    therefore transmissions ``frames + 1`` to ``2 * frames``.
+    """
+    sim, nodes = build_flat_site(seed, node_count)
+    _drive(sim, nodes, frames)
+    candidates, deliveries = sim.candidate_evaluations, sim.deliveries
+    wall_s, receptions = _drive(sim, nodes, frames)
     return TransmitCostPoint(
         nodes=node_count,
         frames=frames,
-        indexed_wall_s=grid_s,
-        brute_wall_s=brute_s,
-        indexed_candidates=sim_grid.candidate_evaluations,
-        brute_candidates=sim_brute.candidate_evaluations,
-        deliveries=sim_grid.deliveries,
-        receptions_match=(
-            grid_receptions == brute_receptions
-            and sim_grid.deliveries == sim_brute.deliveries
-        ),
+        wall_s=wall_s,
+        candidate_evaluations=sim.candidate_evaluations - candidates,
+        deliveries=sim.deliveries - deliveries,
+        receptions=receptions,
     )
 
 
 def run_transmit_bench(
-    seed: int = 47, sizes: Sequence[int] = (200, 800), frames: int = 300
+    seed: int = 47, sizes: Sequence[int] = (200, 800, 8000), frames: int = 400
 ) -> List[TransmitCostPoint]:
     """Run the transmit-cost sweep over network sizes."""
     return [run_transmit_point(seed, node_count, frames) for node_count in sizes]
 
 
-@dataclass
-class BatchedCostPoint:
-    """Batched-vs-scalar delivery cost at one size (both spatially indexed).
-
-    The scalar loop is the byte-identity oracle the vectorized path
-    must reproduce exactly; ``receptions_match`` additionally checks
-    the per-frame reception counts and total deliveries agree.
-    """
-
-    nodes: int
-    frames: int
-    batched_wall_s: float
-    scalar_wall_s: float
-    deliveries: int
-    receptions_match: bool
-
-    @property
-    def speedup(self) -> float:
-        return self.scalar_wall_s / self.batched_wall_s
-
-
-def run_batched_point(
-    seed: int, node_count: int, frames: int
-) -> BatchedCostPoint:
-    """Measure batched vs scalar delivery on one topology, both indexed."""
-    sim_batched, nodes_batched = _build_flat_site(seed, node_count, True, True)
-    sim_scalar, nodes_scalar = _build_flat_site(seed, node_count, True, False)
-    # Warm both simulators over the full sender rotation so the lazy
-    # one-time setup (grid build, packed-cell and neighborhood caches)
-    # doesn't smear into the steady-state timing; the warm-up frames
-    # use the same keyed draws on both sides, so the identity
-    # comparison below covers them too.
-    warmup = _drive(sim_batched, nodes_batched, frames)
-    assert warmup[1] == _drive(sim_scalar, nodes_scalar, frames)[1]
-    batched_s, batched_receptions = _drive(sim_batched, nodes_batched, frames)
-    scalar_s, scalar_receptions = _drive(sim_scalar, nodes_scalar, frames)
-    return BatchedCostPoint(
-        nodes=node_count,
-        frames=frames,
-        batched_wall_s=batched_s,
-        scalar_wall_s=scalar_s,
-        deliveries=sim_batched.deliveries,
-        receptions_match=(
-            batched_receptions == scalar_receptions
-            and sim_batched.deliveries == sim_scalar.deliveries
-            and sim_batched.candidate_evaluations
-            == sim_scalar.candidate_evaluations
-        ),
-    )
-
-
-def run_batched_bench(
-    seed: int = 47, sizes: Sequence[int] = (8000,), frames: int = 400
-) -> List[BatchedCostPoint]:
-    """Run the batched-delivery sweep (the N=8,000 acceptance point)."""
-    return [run_batched_point(seed, node_count, frames) for node_count in sizes]
-
-
-def render_batched(points: List[BatchedCostPoint]) -> str:
-    """Render the batched-delivery sweep as an aligned text table."""
-    lines = [
-        f"{'nodes':>6} {'frames':>7} {'batched s':>10} {'scalar s':>9} "
-        f"{'speedup':>8} {'identical':>10}"
-    ]
-    for point in points:
-        lines.append(
-            f"{point.nodes:>6} {point.frames:>7} {point.batched_wall_s:>10.3f} "
-            f"{point.scalar_wall_s:>9.3f} {point.speedup:>7.1f}x "
-            f"{str(point.receptions_match):>10}"
-        )
-    return "\n".join(lines)
-
-
 def render_transmit(points: List[TransmitCostPoint]) -> str:
     """Render the transmit-cost sweep as an aligned text table."""
     lines = [
-        f"{'nodes':>6} {'frames':>7} {'indexed s':>10} {'brute s':>9} "
-        f"{'speedup':>8} {'cand/frame':>11} {'identical':>10}"
+        f"{'nodes':>6} {'frames':>7} {'wall s':>8} {'cand/frame':>11} "
+        f"{'recv/frame':>11} {'deliveries':>11}"
     ]
     for point in points:
         lines.append(
-            f"{point.nodes:>6} {point.frames:>7} {point.indexed_wall_s:>10.3f} "
-            f"{point.brute_wall_s:>9.3f} {point.speedup:>7.1f}x "
+            f"{point.nodes:>6} {point.frames:>7} {point.wall_s:>8.3f} "
             f"{point.candidates_per_frame:>11.1f} "
-            f"{str(point.receptions_match):>10}"
+            f"{point.receptions_per_frame:>11.1f} {point.deliveries:>11}"
         )
     return "\n".join(lines)

@@ -5,35 +5,30 @@ simulated times and dispatched in time order (FIFO among equal times).
 The engine also owns frame propagation — :meth:`Simulator.transmit`
 asks the medium which nodes can hear a frame and schedules deliveries.
 
-Frame delivery runs through a fast path: per-medium receiver
-registries plus a uniform spatial grid (:mod:`repro.sim.spatial`) with
-cells sized to the medium's culling range (mean path loss plus the
-clamped shadowing margin), maintained incrementally on node
-add/remove/move.  A transmission therefore examines only the sender's
-3x3 cell neighborhood instead of re-sorting and scanning the whole
-registry, making transmit cost O(local density) rather than O(N).
-
-On top of the spatial cull, delivery itself is vectorized (the
-default; see ``use_batched_delivery``): the neighborhood arrives as
-packed position arrays, distances / shadowing / loss are computed with
+Frame delivery has one path.  Per-medium receiver registries feed a
+uniform spatial grid (:mod:`repro.sim.spatial`) with cells sized to the
+medium's culling range (mean path loss plus the clamped shadowing
+margin), maintained incrementally on node add/remove/move, so a
+transmission examines only the sender's 3x3 cell neighborhood: transmit
+cost is O(local density) rather than O(N).  The neighborhood arrives as
+packed position arrays; distances, shadowing and loss are computed with
 numpy over the whole candidate set in one pass, and the surviving
-receivers are scheduled as a single pooled :class:`_DeliveryBatch`
-heap entry per transmission.  The scalar per-candidate loop remains as
-the byte-identity oracle.
+receivers are scheduled as a single pooled :class:`_DeliveryBatch` heap
+entry per transmission.  The per-pair scalar radio model this path must
+reproduce bit for bit lives in the test suite as the reference.
 
-Determinism: candidate iteration is sorted by node id, tie-breaking in
+Determinism: survivors are dispatched sorted by node id, tie-breaking in
 the event queue is by insertion sequence, and RSSI/loss draws are
 order-independent per-(sender, receiver, transmission-sequence) hashed
 substreams (:class:`repro.util.rng.HashedStream`) — so candidate
 culling cannot perturb any surviving receiver's draws, and a scenario
 re-run with the same seed reproduces every capture, RSSI value and
-alert exactly, with or without the spatial index.
+alert exactly.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,8 +43,6 @@ from repro.util.rng import SeededRng
 #: Fixed per-frame propagation-plus-processing latency, seconds.
 TRANSMIT_LATENCY_S = 2e-4
 
-_EMPTY_COORDS = np.empty(0, dtype=np.float64)
-
 #: Approximate serialization rate used to add a size-dependent component.
 BITS_PER_SECOND = {
     Medium.IEEE_802_15_4: 250_000.0,
@@ -60,29 +53,9 @@ BITS_PER_SECOND = {
 
 
 class Simulator:
-    """Owns simulated time, the node registry and the radio mediums.
+    """Owns simulated time, the node registry and the radio mediums."""
 
-    :param use_spatial_index: route transmissions through the spatial
-        grid (the default).  ``False`` falls back to a brute-force scan
-        of the per-medium registry — same reception set, draw for draw,
-        because RSSI/loss draws are keyed per pair; kept as the
-        equivalence oracle for tests and benchmarks.
-    :param use_batched_delivery: run the vectorized delivery path (the
-        default): candidate positions are gathered into packed arrays,
-        the link budget (per-pair digests, shadowing, loss) is computed
-        with numpy over the whole candidate set, and the survivors are
-        scheduled as one :class:`_DeliveryBatch` heap entry.  ``False``
-        keeps the per-candidate scalar loop as the byte-identity oracle
-        — same receptions, same RSSI values, bit for bit.
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        telemetry=None,
-        use_spatial_index: bool = True,
-        use_batched_delivery: bool = True,
-    ) -> None:
+    def __init__(self, seed: int = 0, telemetry=None) -> None:
         self.clock = ManualClock()
         self.rng = SeededRng(seed, "sim")
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
@@ -93,24 +66,16 @@ class Simulator:
         #: at transmit time; equipment is fixed at construction).
         self._members: Dict[Medium, Dict[NodeId, "SimNode"]] = {}
         self._grids: Dict[Medium, SpatialGrid] = {}
-        #: Sorted member-key lists per medium for the brute-force path;
-        #: invalidated whenever medium membership changes (register /
-        #: unregister).  A crash does *not* change membership — dead
-        #: nodes stay registered and are filtered by ``alive`` at
-        #: transmit time — so no invalidation hook is needed there.
-        self._member_order_cache: Dict[Medium, List[NodeId]] = {}
         #: Free list of dispatched _DeliveryBatch records, reused to cut
-        #: per-transmission allocation churn on the batched path.
+        #: per-transmission allocation churn.
         self._delivery_pool: List["_DeliveryBatch"] = []
-        #: Per-(medium, sender) in-range candidate snapshots for the
-        #: batched path — (grid, grid version, params, candidate count,
-        #: nodes, RNG tails, mean-RSSI array).  Valid only while the
-        #: grid object, its version stamp, and the model's (frozen)
-        #: path-loss params are all unchanged, so any add/remove/move —
-        #: including the sender's own — or model swap forces a rebuild.
+        #: Per-(medium, sender) in-range candidate snapshots — (grid,
+        #: grid version, params, candidate count, nodes, RNG tails,
+        #: mean-RSSI array).  Valid only while the grid object, its
+        #: version stamp, and the model's (frozen) path-loss params are
+        #: all unchanged, so any add/remove/move — including the
+        #: sender's own — or model swap forces a rebuild.
         self._sender_cache: Dict[Tuple[Medium, NodeId], tuple] = {}
-        self.use_spatial_index = use_spatial_index
-        self.use_batched_delivery = use_batched_delivery
         self.transmissions = 0
         self.deliveries = 0
         #: (frame, candidate-receiver) pairs examined by transmit; the
@@ -154,7 +119,6 @@ class Simulator:
         checkpoint boundary.
         """
         self._grids.clear()
-        self._member_order_cache.clear()
         self._delivery_pool.clear()
         self._sender_cache.clear()
         self._tx_counters.clear()
@@ -164,9 +128,9 @@ class Simulator:
         """The (lazily built) spatial index for one medium.
 
         Each member's grid payload is ``(node, tail)`` — the node
-        object plus its pre-encoded per-pair RNG tail — so the batched
-        delivery path gets both back aligned with the packed position
-        arrays, with no per-frame dict lookups or key re-encoding.
+        object plus its pre-encoded per-pair RNG tail — so delivery gets
+        both back aligned with the packed position arrays, with no
+        per-frame dict lookups or key re-encoding.
         """
         grid = self._grids.get(medium)
         if grid is None:
@@ -187,7 +151,6 @@ class Simulator:
         payload = (node, receiver_tail(node.node_id))
         for medium in node.equipped:
             self._members.setdefault(medium, {})[node.node_id] = node
-            self._member_order_cache.pop(medium, None)
             grid = self._grids.get(medium)
             if grid is not None:
                 grid.insert(node.node_id, node.position, payload)
@@ -203,7 +166,6 @@ class Simulator:
                 members = self._members.get(medium)
                 if members is not None:
                     members.pop(node_id, None)
-                self._member_order_cache.pop(medium, None)
                 grid = self._grids.get(medium)
                 if grid is not None:
                     grid.remove(node_id)
@@ -283,61 +245,6 @@ class Simulator:
 
     # -- transmission --------------------------------------------------------
 
-    def _member_order(self, medium: Medium) -> List[NodeId]:
-        """The medium's member keys, sorted, cached until membership
-        changes — the brute-force path used to re-sort the full registry
-        on every transmission (O(N log N) per frame)."""
-        order = self._member_order_cache.get(medium)
-        if order is None:
-            members = self._members.get(medium)
-            order = self._member_order_cache[medium] = (
-                sorted(members) if members else []
-            )
-        return order
-
-    def _candidates(self, sender: "SimNode", medium: Medium) -> List["SimNode"]:
-        """Candidate receivers, sorted by node id.
-
-        The spatial path returns the sender's 3x3 cell neighborhood — a
-        superset of every node within the medium's culling range; the
-        brute-force path returns every equipped node.  Both paths yield
-        the identical reception set because nodes beyond the culling
-        range can never be receivable (clamped shadowing) and draws are
-        keyed per pair, not per scan position.
-        """
-        members = self._members.get(medium)
-        if not members:
-            return []
-        if self.use_spatial_index:
-            keys = self._grid(medium).near(sender.position)
-            keys.sort()
-            return [members[key] for key in keys]
-        return [members[key] for key in self._member_order(medium)]
-
-    def _candidate_arrays(
-        self, sender: "SimNode", medium: Medium
-    ) -> Tuple[List[NodeId], List[tuple], np.ndarray, np.ndarray]:
-        """Candidate keys, (node, tail) payloads, and packed x/y arrays.
-
-        The sender itself is *included* when it is a member — the
-        batched path drops it by identity at the survivor stage, which
-        is cheaper than slicing it out of every cached array.
-        """
-        if self.use_spatial_index:
-            return self._grid(medium).near_arrays(sender.position)
-        members = self._members.get(medium)
-        if not members:
-            return [], [], _EMPTY_COORDS, _EMPTY_COORDS
-        keys = self._member_order(medium)
-        payloads = []
-        xs = np.empty(len(keys), dtype=np.float64)
-        ys = np.empty(len(keys), dtype=np.float64)
-        for index, key in enumerate(keys):
-            node = members[key]
-            payloads.append((node, receiver_tail(key)))
-            xs[index], ys[index] = node.position
-        return keys, payloads, xs, ys
-
     def _bound_counter(self, cache: Dict[Medium, object], name: str, medium: Medium):
         counter = cache.get(medium)
         if counter is None:
@@ -355,6 +262,24 @@ class Simulator:
         wireless medium.  ``Simulator.deliveries`` counts *arrivals*:
         a receiver that crashes, detaches or loses the interface while
         the frame is in flight never becomes a delivery.
+
+        One link-budget pass covers every candidate: per-pair digests,
+        shadowing and loss are computed with numpy, the distance mask
+        comes first, and the alive/equipped checks are deferred to the
+        survivors (legitimate because draws are pure per-pair
+        functions).  Survivors are sorted by node id and scheduled as a
+        single :class:`_DeliveryBatch` heap entry that dispatches them
+        in that order at arrival time.
+
+        The topology-dependent prologue — neighborhood gather, distance
+        mask, tail collection and the deterministic mean-RSSI vector —
+        is snapshotted per (medium, sender) in ``_sender_cache`` and
+        replayed while the spatial grid's version stamp holds, so a
+        static stretch of topology pays only the per-frame stochastic
+        work (digests, shadowing, loss).  Liveness and interface state
+        are deliberately *not* part of the snapshot: crashes and admin
+        toggles don't change membership, and those checks run at the
+        survivor stage.
         """
         model = self.medium(medium)
         self.transmissions += 1
@@ -372,106 +297,18 @@ class Simulator:
             )
         airtime = packet.size_bytes * 8.0 / BITS_PER_SECOND[medium]
         arrival = self.clock.now + TRANSMIT_LATENCY_S + airtime
-        if self.use_batched_delivery:
-            return self._transmit_batched(
-                sender, medium, model, packet, sequence, arrival,
-                telemetry, trace_id, delivery_counter,
-            )
-        cull_range = model.cull_range_m()
         sender_id = sender.node_id
-        sender_x, sender_y = sender.position
-        receptions = 0
-        for receiver in self._candidates(sender, medium):
-            if receiver.node_id == sender_id:
-                continue
-            self.candidate_evaluations += 1
-            if not receiver.alive:
-                continue
-            if medium not in receiver.mediums:
-                continue
-            position = receiver.position
-            # sqrt(dx² + dy²) rather than math.hypot: hypot's extra
-            # guard arithmetic differs from the vectorized path by an
-            # ulp on some inputs, and the oracle must match bit-for-bit.
-            dx = sender_x - position[0]
-            dy = sender_y - position[1]
-            distance = math.sqrt(dx * dx + dy * dy)
-            if distance > cull_range:
-                continue
-            draws = model.pair_sample(sender_id, receiver.node_id, sequence)
-            rssi = model.pair_rssi(distance, draws)
-            if not model.receivable(rssi):
-                continue
-            if model.pair_frame_lost(draws):
-                continue
-            receptions += 1
-            self.schedule_at(
-                arrival,
-                _Delivery(
-                    self,
-                    receiver,
-                    packet,
-                    medium,
-                    rssi,
-                    arrival,
-                    telemetry,
-                    trace_id,
-                    delivery_counter,
-                ),
-            )
-        return receptions
-
-    def _transmit_batched(
-        self,
-        sender: "SimNode",
-        medium: Medium,
-        model: RadioMedium,
-        packet: Packet,
-        sequence: int,
-        arrival: float,
-        telemetry,
-        trace_id,
-        delivery_counter,
-    ) -> int:
-        """Vectorized delivery: one link-budget pass over all candidates.
-
-        Byte-identical to the scalar loop — same per-pair digests (the
-        hashed stream is keyed, not sequential), same numpy arithmetic
-        kernels, same check semantics in a different order (distance
-        mask first, alive/equipped checks deferred to the survivors;
-        legitimate because draws are pure per-pair functions and
-        candidate accounting counts every non-sender candidate in both
-        paths).  Survivors are sorted by node id and scheduled as a
-        single :class:`_DeliveryBatch` heap entry that dispatches them
-        in that order at arrival time.
-
-        The topology-dependent prologue — neighborhood gather, distance
-        mask, tail collection and the deterministic mean-RSSI vector —
-        is snapshotted per (medium, sender) in ``_sender_cache`` and
-        replayed while the spatial grid's version stamp holds, so a
-        static stretch of topology pays only the per-frame stochastic
-        work (digests, shadowing, loss).  Liveness and interface state
-        are deliberately *not* part of the snapshot: crashes and admin
-        toggles don't change membership, and both paths defer those
-        checks to the survivor stage.
-        """
-        sender_id = sender.node_id
-        nodes = None
-        grid = self._grid(medium) if self.use_spatial_index else None
-        if grid is not None:
-            entry = self._sender_cache.get((medium, sender_id))
-            if (
-                entry is not None
-                and entry[0] is grid
-                and entry[1] == grid.version
-                and entry[2] is model.params
-            ):
-                count, nodes, tails, mean = entry[3], entry[4], entry[5], entry[6]
-        if nodes is None:
-            if grid is not None:
-                keys, payloads, xs, ys = grid.near_arrays(sender.position)
-            else:
-                keys, payloads, xs, ys = self._candidate_arrays(sender, medium)
+        grid = self._grid(medium)
+        entry = self._sender_cache.get((medium, sender_id))
+        if (
+            entry is not None
+            and entry[0] is grid
+            and entry[1] == grid.version
+            and entry[2] is model.params
+        ):
+            count, nodes, tails, mean = entry[3], entry[4], entry[5], entry[6]
+        else:
+            keys, payloads, xs, ys = grid.near_arrays(sender.position)
             members = self._members.get(medium)
             sender_is_member = members is not None and sender_id in members
             count = len(keys) - (1 if sender_is_member else 0)
@@ -496,7 +333,7 @@ class Simulator:
                 mean = model.params.mean_rssi_block(distances[in_range])
             else:
                 mean = None
-            if grid is not None and sender_is_member:
+            if sender_is_member:
                 self._sender_cache[(medium, sender_id)] = (
                     grid, grid.version, model.params, count, nodes, tails, mean
                 )
@@ -510,7 +347,7 @@ class Simulator:
         if not nodes:
             return 0
         block = model.pair_sample_block(sender_id, sequence, encoded_tails=tails)
-        rssis = model.pair_rssi_block(None, block, mean=mean)
+        rssis = model.pair_rssi_block(block, mean)
         keep = rssis >= model.params.sensitivity_dbm
         if loss > 0.0:
             keep &= ~model.pair_frame_lost_block(block)
@@ -570,87 +407,20 @@ class _PeriodicTask:
         self.sim.schedule_in(self.interval, self)
 
 
-class _Delivery:
-    """A scheduled frame delivery (callable; keeps the queue picklable).
-
-    Carries the frame's trace id across the event-queue gap so the
-    receiving node's pipeline spans stay linked to the transmission.
-    Delivery accounting happens here, at arrival: a receiver that is
-    detached, crashed, or has the interface administratively down when
-    the frame lands is not a delivery and gets no ``sim.deliver`` span.
-    """
-
-    __slots__ = (
-        "sim",
-        "receiver",
-        "packet",
-        "medium",
-        "rssi",
-        "timestamp",
-        "telemetry",
-        "trace_id",
-        "delivery_counter",
-    )
-
-    def __init__(
-        self,
-        sim,
-        receiver,
-        packet,
-        medium,
-        rssi,
-        timestamp,
-        telemetry=None,
-        trace_id=None,
-        delivery_counter=None,
-    ) -> None:
-        self.sim = sim
-        self.receiver = receiver
-        self.packet = packet
-        self.medium = medium
-        self.rssi = rssi
-        self.timestamp = timestamp
-        self.telemetry = telemetry
-        self.trace_id = trace_id
-        self.delivery_counter = delivery_counter
-
-    def __call__(self) -> None:
-        receiver = self.receiver
-        if (
-            not receiver.attached
-            or not receiver.alive
-            or self.medium not in receiver.mediums
-        ):
-            return
-        self.sim.deliveries += 1
-        if self.delivery_counter is not None:
-            self.delivery_counter.inc()
-        if self.telemetry is None:
-            receiver.handle_frame(self.packet, self.medium, self.rssi, self.timestamp)
-            return
-        with self.telemetry.span(
-            "sim.deliver",
-            node=str(receiver.node_id),
-            t=self.timestamp,
-            trace_id=self.trace_id,
-            medium=self.medium.value,
-            kind=type(self.packet).__name__,
-        ):
-            receiver.handle_frame(self.packet, self.medium, self.rssi, self.timestamp)
-
-
 class _DeliveryBatch:
     """All of one transmission's deliveries as a single heap entry.
 
-    The batched transmit path schedules one of these per transmission
-    instead of one :class:`_Delivery` per receiver, cutting heappush
-    churn to O(1) per frame.  Receivers are dispatched in node-id order
-    — the order the scalar path's individual heap entries would pop in
-    (FIFO among equal timestamps) — and each receiver's liveness /
-    attachment / interface state is re-checked at its own dispatch
-    moment, so an earlier receiver's handler crashing a later one
-    behaves exactly as with individual entries.  Dispatched batches
-    return themselves to the simulator's ``_delivery_pool`` for reuse.
+    :meth:`Simulator.transmit` schedules one of these per transmission,
+    so heappush churn is O(1) per frame.  Receivers are dispatched in
+    node-id order, and each receiver's liveness / attachment / interface
+    state is re-checked at its own dispatch moment: an earlier
+    receiver's handler crashing a later one means the later one gets
+    nothing, and a receiver that crashes, detaches or loses the
+    interface while the frame is in flight is not a delivery and gets no
+    ``sim.deliver`` span.  The batch carries the frame's trace id across
+    the event-queue gap so the receivers' pipeline spans stay linked to
+    the transmission.  Dispatched batches return themselves to the
+    simulator's ``_delivery_pool`` for reuse.
     """
 
     __slots__ = (
@@ -731,8 +501,3 @@ class _DeliveryBatch:
         self.bind(None, [], [], None, None, 0.0)
         sim._delivery_pool.append(self)
 
-
-def _distance(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return math.sqrt(dx * dx + dy * dy)

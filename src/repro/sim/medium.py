@@ -22,13 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.net.packets.base import Medium
-from repro.util.rng import (
-    HashedBlock,
-    HashedDraws,
-    HashedStream,
-    SeededRng,
-    encode_key_part,
-)
+from repro.util.rng import HashedBlock, HashedStream, SeededRng, encode_key_part
 
 #: Shadowing draws are clamped to this many sigmas.  The clamp makes
 #: the spatial cull *provably* lossless: beyond the distance where
@@ -43,11 +37,9 @@ SHADOWING_CULL_SIGMAS = 6.0
 def receiver_tail(receiver_id) -> bytes:
     """The pre-encoded hashed-stream tail for one receiver.
 
-    This is exactly the final key part :meth:`RadioMedium.pair_sample`
+    This is the final key part :meth:`RadioMedium.pair_sample_block`
     hashes for the receiver; the engine caches it per node (ids are
-    immutable) and hands the bytes back to
-    :meth:`RadioMedium.pair_sample_block` via ``encoded_tails``,
-    skipping per-frame re-encoding on the hot path.
+    immutable) so the hot path skips per-frame re-encoding.
     """
     return encode_key_part(str(receiver_id))
 
@@ -168,8 +160,8 @@ class RadioMedium:
         self.params = params
         self._rng = rng if rng is not None else SeededRng(0, "medium", medium.value)
         #: Order-independent per-(sender, receiver, sequence) draws for
-        #: the delivery fast path; seeded from the medium's stream seed
-        #: so one simulator seed still pins every draw.
+        #: frame delivery; seeded from the medium's stream seed so one
+        #: simulator seed still pins every draw.
         self._pairwise = HashedStream(self._rng.seed, "pairwise")
         self._cull_range_m = params.max_range_m(
             margin_db=SHADOWING_CULL_SIGMAS * params.shadowing_sigma_db
@@ -178,114 +170,38 @@ class RadioMedium:
         #: Extra loss injected by environment effects (e.g. jamming attack).
         self.interference_loss_probability = 0.0
 
-    def rssi_at(self, distance_m: float) -> float:
-        """Sample the RSSI for one reception at the given distance.
-
-        Sequential-stream variant (draw order matters); the engine's
-        fast path uses :meth:`pair_rssi` instead.
-        """
-        mean = self.params.mean_rssi(distance_m)
-        sigma = self.params.shadowing_sigma_db
-        if sigma <= 0:
-            return mean
-        return mean + self._rng.normal(0.0, sigma)
-
-    def receivable(self, rssi_dbm: float) -> bool:
-        return rssi_dbm >= self.params.sensitivity_dbm
-
     def cull_range_m(self) -> float:
         """Distance beyond which reception is impossible even with the
         maximum (clamped) shadowing boost; ``inf`` for wired media."""
         return self._cull_range_m
 
-    def frame_lost(self) -> bool:
-        """Sample whether an otherwise-receivable frame is dropped.
-
-        Sequential-stream variant; the fast path uses
-        :meth:`pair_frame_lost`.
-        """
-        loss = self.base_loss_probability + self.interference_loss_probability
-        if loss <= 0.0:
-            return False
-        if loss >= 1.0:
-            # A saturating jammer is a certain drop: no RNG draw, and
-            # no ~0.1% leak from clamping the probability below 1.
-            return True
-        return self._rng.chance(loss)
-
-    # -- order-independent per-pair sampling (delivery fast path) ------------
-
-    def pair_sample(
-        self, sender_id, receiver_id, sequence: int
-    ) -> HashedDraws:
-        """The draw budget for one (sender, receiver, transmission).
-
-        Routed through :meth:`~repro.util.rng.HashedStream.sample_block`
-        with the type-tagged key ``(sender, sequence, receiver)`` — the
-        sender and sequence form the shared per-transmission prefix and
-        the receiver is the varying tail, so the scalar oracle and the
-        batched path hash byte-identical messages per pair.
-        """
-        block = self._pairwise.sample_block(
-            (str(sender_id), int(sequence)), (str(receiver_id),)
-        )
-        return block.draws(0)
-
     def pair_sample_block(
-        self,
-        sender_id,
-        sequence: int,
-        receiver_ids: Optional[Sequence] = None,
-        encoded_tails: Optional[Sequence[bytes]] = None,
+        self, sender_id, sequence: int, encoded_tails: Sequence[bytes]
     ) -> HashedBlock:
         """Draw budgets for every (sender, receiver, transmission) pair,
         one per receiver, hashed in a single pass over the candidates.
 
-        Pass either ``receiver_ids`` (encoded here) or ``encoded_tails``
-        — bytes from :func:`receiver_tail`, cached by the engine so the
-        hot path skips per-frame key encoding.
+        The type-tagged key is ``(sender, sequence, receiver)``: sender
+        and sequence form the shared per-transmission prefix, and each
+        receiver is a tail from :func:`receiver_tail`, pre-encoded and
+        cached by the engine so the hot path skips per-frame key
+        encoding.
         """
-        common = (str(sender_id), int(sequence))
-        if encoded_tails is not None:
-            return self._pairwise.sample_block(common, encoded_tails, encoded=True)
         return self._pairwise.sample_block(
-            common, [str(receiver_id) for receiver_id in receiver_ids]
+            (str(sender_id), int(sequence)), encoded_tails, encoded=True
         )
 
-    def pair_rssi(self, distance_m: float, draws: HashedDraws) -> float:
-        """RSSI for one reception, shadowing clamped to the cull margin."""
-        mean = self.params.mean_rssi(distance_m)
-        sigma = self.params.shadowing_sigma_db
-        if sigma <= 0:
-            return mean
-        shadowing = draws.normal(0.0, 1.0)
-        if shadowing > SHADOWING_CULL_SIGMAS:
-            shadowing = SHADOWING_CULL_SIGMAS
-        elif shadowing < -SHADOWING_CULL_SIGMAS:
-            shadowing = -SHADOWING_CULL_SIGMAS
-        return mean + shadowing * sigma
+    def pair_rssi_block(self, block: HashedBlock, mean: np.ndarray) -> np.ndarray:
+        """RSSI for every pair in a candidate block, given its mean RSSI.
 
-    def pair_rssi_block(
-        self,
-        distances_m: Optional[np.ndarray],
-        block: HashedBlock,
-        mean: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`pair_rssi` over a whole candidate block.
-
-        Bit-identical per pair to the scalar path: same mean formula,
-        same Box-Muller over draw words 0 and 1 (``HashedDraws.normal``
-        shares the numpy log kernel), same ±``SHADOWING_CULL_SIGMAS``
-        clamp.  With ``sigma <= 0`` no draw words are consumed, exactly
-        like the scalar branch.
-
-        ``mean`` short-circuits the deterministic part: the engine
-        caches ``mean_rssi_block`` per (sender, topology version) since
-        it only changes when something moves.  The returned array must
-        be treated as read-only when ``sigma <= 0`` (it *is* the mean).
+        ``mean`` is :meth:`PathLossParams.mean_rssi_block` over the
+        candidates' distances; the engine caches it per (sender,
+        topology version) since it only changes when something moves.
+        Shadowing is Box-Muller over draw words 0 and 1, clamped to
+        ±``SHADOWING_CULL_SIGMAS``.  With ``sigma <= 0`` no draw words
+        are consumed and the returned array *is* ``mean``, so treat it
+        as read-only.
         """
-        if mean is None:
-            mean = self.params.mean_rssi_block(distances_m)
         sigma = self.params.shadowing_sigma_db
         if sigma <= 0:
             return mean
@@ -298,22 +214,13 @@ class RadioMedium:
         )
         return mean + shadowing * sigma
 
-    def pair_frame_lost(self, draws: HashedDraws) -> bool:
-        """Loss decision for one reception; certain loss consumes no draw."""
-        loss = self.base_loss_probability + self.interference_loss_probability
-        if loss <= 0.0:
-            return False
-        if loss >= 1.0:
-            return True
-        return draws.chance(loss)
-
     def pair_frame_lost_block(self, block: HashedBlock) -> np.ndarray:
-        """Vectorized :meth:`pair_frame_lost` over a candidate block.
+        """Loss decision for every pair in a candidate block.
 
-        Draw-for-draw with the scalar path: the loss uniform is draw
-        word 2 when shadowing consumed words 0–1, or word 0 when
-        ``sigma <= 0`` left the budget untouched.  ``loss <= 0`` and the
-        certain-drop ``loss >= 1`` branches consume no draw at all.
+        The loss uniform is draw word 2 when shadowing consumed words
+        0–1, or word 0 when ``sigma <= 0`` left the budget untouched.
+        ``loss <= 0`` and the certain-drop ``loss >= 1`` branches
+        consume no draw at all.
         """
         loss = self.base_loss_probability + self.interference_loss_probability
         if loss <= 0.0:

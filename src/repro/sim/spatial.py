@@ -1,25 +1,24 @@
 """Uniform spatial grid index for neighbor queries.
 
-The frame-delivery fast path needs, per transmission, the set of nodes
-that could conceivably receive the frame.  A :class:`SpatialGrid` bins
-members into square cells at least as wide as the radio's culling range
-(mean path loss plus the shadowing margin — see
+Frame delivery needs, per transmission, the set of nodes that could
+conceivably receive the frame.  A :class:`SpatialGrid` bins members
+into square cells at least as wide as the radio's culling range (mean
+path loss plus the shadowing margin — see
 :meth:`repro.sim.medium.RadioMedium.cull_range_m`), so every node
 within that range of a sender lies in the 3x3 cell neighborhood around
 the sender's cell.  Membership is maintained incrementally on
 add/remove/move instead of re-scanning the whole registry per query.
 
-Two query shapes are offered: :meth:`SpatialGrid.near` returns a plain
-key list (the scalar delivery path), and :meth:`SpatialGrid.near_arrays`
-returns the whole neighborhood as packed parallel arrays — keys, the
-caller's opaque payloads, and numpy x/y coordinate vectors — so the
-batched delivery path can compute every candidate distance in one
-vectorized pass instead of one position lookup per key.  Neighborhood
-results are cached per cell and invalidated by a grid-wide version
-stamp (any insert/remove/move bumps it, including within-cell moves,
-which change a coordinate without changing the cell), making repeat
-queries from a static region O(1).  The per-cell packed arrays beneath
-them invalidate per cell, so one mutation only re-packs its own cell.
+The one query, :meth:`SpatialGrid.near_arrays`, returns the whole
+neighborhood as packed parallel arrays — keys, the caller's opaque
+payloads, and numpy x/y coordinate vectors — so frame delivery can
+compute every candidate distance in one vectorized pass instead of one
+position lookup per key.  Neighborhood results are cached per cell and
+invalidated by a grid-wide version stamp (any insert/remove/move bumps
+it, including within-cell moves, which change a coordinate without
+changing the cell), making repeat queries from a static region O(1).
+The per-cell packed arrays beneath them invalidate per cell, so one
+mutation only re-packs its own cell.
 
 When the culling range is unbounded (wired "mediums" whose path-loss
 exponent is ~0), the grid degenerates to a single bucket: queries
@@ -167,32 +166,13 @@ class SpatialGrid:
 
     # -- queries -------------------------------------------------------------
 
-    def near(self, position: Position) -> List[Hashable]:
-        """Members of the 3x3 cell neighborhood around ``position``.
-
-        With ``cell_size >= cull_range`` this is a superset of every
-        member within ``cull_range`` of ``position``.  Order is
-        unspecified; callers needing determinism must sort.
-        """
-        if self.cell_size is None:
-            bucket = self._cells.get((0, 0))
-            return list(bucket) if bucket else []
-        cx, cy = self.cell_of(position)
-        out: List[Hashable] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                members = self._cells.get((cx + dx, cy + dy))
-                if members:
-                    out.extend(members)
-        return out
-
     def _packed_cell(self, cell: Cell, members: Set[Hashable]) -> Packed:
         """The cell's packed arrays, re-packing if stale.
 
         Keys are sorted when orderable so the packed layout is canonical
         across processes (set iteration order is salted for str-hashed
-        keys); the batched delivery path re-sorts survivors anyway, so
-        this only aids reproducibility of debugging output.
+        keys); frame delivery re-sorts survivors anyway, so this only
+        aids reproducibility of debugging output.
         """
         packed = self._packed.get(cell)
         if packed is None:
@@ -215,9 +195,11 @@ class SpatialGrid:
         """The full 3x3 neighborhood as packed parallel arrays.
 
         Returns ``(keys, payloads, xs, ys)`` where ``xs``/``ys`` are
-        float64 numpy arrays aligned with ``keys`` — the batched
-        delivery path feeds them straight into the vectorized link
-        budget.  The querying node itself is *included* when it is a
+        float64 numpy arrays aligned with ``keys`` — frame delivery
+        feeds them straight into the vectorized link budget.  With
+        ``cell_size >= cull_range`` the keys are a superset of every
+        member within ``cull_range`` of ``position``, in no particular
+        order.  The querying node itself is *included* when it is a
         member; callers exclude it downstream (cheaper than slicing it
         out of every result).  Results are cached per center cell until
         the next grid mutation, so static-topology queries are O(1).
@@ -257,6 +239,3 @@ class SpatialGrid:
             )
         self._hood_cache[center] = (self._version, packed)
         return packed
-
-    def members(self) -> Iterable[Hashable]:
-        return self._where.keys()

@@ -109,7 +109,7 @@ def connectivity_graph(
     for node, position in sorted(placements.items()):
         grid.insert(node, position)
     for node_a, pos_a in sorted(placements.items()):
-        for node_b in sorted(grid.near(pos_a)):
+        for node_b in sorted(grid.near_arrays(pos_a)[0]):
             if node_b <= node_a:
                 continue
             pos_b = placements[node_b]

@@ -36,8 +36,8 @@ def encode_key_part(part: Union[str, int]) -> bytes:
     """Type-tagged wire encoding of one :class:`HashedStream` key part.
 
     Shared by :meth:`HashedStream.sample` and
-    :meth:`HashedStream.sample_block` so the scalar and batched paths
-    hash byte-identical messages.  ``bool`` is encoded as its integer
+    :meth:`HashedStream.sample_block` so per-key and block draws hash
+    byte-identical messages.  ``bool`` is encoded as its integer
     value (it *is* an ``int`` in Python).
     """
     if isinstance(part, str):
@@ -184,11 +184,12 @@ class HashedBlock:
 
     Produced by :meth:`HashedStream.sample_block`: row ``i`` holds the
     same 32 digest bytes :meth:`HashedStream.sample` would return for
-    key ``common_key + (tails[i],)``, so the scalar and batched delivery
-    paths consume identical bits.  :attr:`words` exposes the digests as
-    an ``(n, DRAWS_PER_DIGEST)`` uint64 array (big-endian chunks, like
-    ``HashedDraws``); :meth:`uniforms` converts one draw column with the
-    exact arithmetic of :meth:`HashedDraws.uniform`.
+    key ``common_key + (tails[i],)``, so per-key draws and frame
+    delivery's block draws consume identical bits.  :attr:`words`
+    exposes the digests as an ``(n, DRAWS_PER_DIGEST)`` uint64 array
+    (big-endian chunks, like ``HashedDraws``); :meth:`uniforms` converts
+    one draw column with the exact arithmetic of
+    :meth:`HashedDraws.uniform`.
     """
 
     __slots__ = ("digests", "count", "_words")
@@ -244,9 +245,9 @@ class HashedStream:
     later draw), a :class:`HashedStream` draw is a pure function of
     ``(seed, labels, key)``.  Skipping a key, adding a consumer, or
     reordering the iteration cannot change any other key's draws —
-    exactly the property the frame-delivery fast path needs so that
-    spatial culling of candidate receivers leaves the surviving
-    receivers' RSSI/loss draws byte-identical to a brute-force scan.
+    exactly the property frame delivery needs so that spatial culling
+    of candidate receivers leaves the surviving receivers' RSSI/loss
+    draws byte-identical to a scan of every node.
     """
 
     def __init__(self, seed: int, *labels: str) -> None:
@@ -296,7 +297,7 @@ class HashedStream:
         the shared prefix (seed plus ``common_key``) is hashed once and
         each tail finalizes a copy, so an n-key block costs one prefix
         round plus n short finalizations instead of n full re-hashes.
-        The delivery fast path calls this with
+        Frame delivery calls this with
         ``common_key=(sender, sequence)`` and one tail per candidate
         receiver.
 

@@ -113,6 +113,22 @@ class TestRestoreSeams:
         assert restored.manager.module("IcmpFloodModule").active
         assert restored.deadletters == []
 
+    def test_snapshot_with_delivery_switches_restores_same_outputs(self):
+        """A simulator pickled when it still had the brute-force and
+        scalar delivery switches carries three extra attributes.  Nothing
+        reads them, so such a snapshot restores under the same schema
+        version and finishes the run exactly like an uninterrupted one."""
+        baseline = _run_plain()
+        deployment = build_e1_deployment(seed=7, symptom_instances=6)
+        deployment.run_to(deployment.end_time / 2)
+        deployment.sim.use_spatial_index = True
+        deployment.sim.use_batched_delivery = True
+        deployment.sim._member_order_cache = {}
+        restored = restore(capture(deployment))
+        assert restored.sim.use_batched_delivery is True  # the old layout
+        restored.run_to(restored.end_time)
+        assert canonical_outputs(restored) == baseline
+
 
 class TestDeployment:
     def test_done_tracks_clock(self):

@@ -6,8 +6,19 @@ import numpy as np
 import pytest
 
 from repro.net.packets.base import Medium
-from repro.sim.medium import DEFAULT_PARAMS, PathLossParams, RadioMedium
-from repro.util.rng import SeededRng
+from repro.net.packets.ieee802154 import Ieee802154Frame
+from repro.sim.engine import Simulator
+from repro.sim.medium import (
+    DEFAULT_PARAMS,
+    SHADOWING_CULL_SIGMAS,
+    PathLossParams,
+    RadioMedium,
+    receiver_tail,
+)
+from repro.sim.node import SimNode
+from repro.util.ids import NodeId
+from repro.util.rng import HashedBlock, HashedDraws, HashedStream, SeededRng
+from tests.sim_reference import pair_lost, pair_rssi
 
 
 class TestPathLossParams:
@@ -60,49 +71,77 @@ class TestPathLossParams:
         assert wifi > wpan
 
 
+def _tails(receivers):
+    return [receiver_tail(receiver) for receiver in receivers]
+
+
+def _draws(medium, sender, sequence, receiver):
+    """The reference's scalar draw budget for one pair."""
+    return HashedStream(medium._pairwise.seed).sample(sender, sequence, receiver)
+
+
+def _rssi(medium, block, distance):
+    mean = medium.params.mean_rssi_block(np.full(len(block), float(distance)))
+    return medium.pair_rssi_block(block, mean)
+
+
 class TestPairSampling:
-    """Order-independent per-(sender, receiver, sequence) draws."""
+    """Order-independent per-(sender, receiver, sequence) draws: the
+    block methods against the reference's per-pair values."""
 
     def test_same_key_same_rssi(self):
         medium = RadioMedium(Medium.IEEE_802_15_4, rng=SeededRng(4))
-        first = medium.pair_rssi(20.0, medium.pair_sample("a", "b", 7))
-        again = medium.pair_rssi(20.0, medium.pair_sample("a", "b", 7))
-        assert first == again
+        first = _rssi(medium, medium.pair_sample_block("a", 7, _tails(["b"])), 20.0)
+        again = _rssi(medium, medium.pair_sample_block("a", 7, _tails(["b"])), 20.0)
+        assert first[0] == again[0]
+        assert first[0] == pair_rssi(medium.params, 20.0, _draws(medium, "a", 7, "b"))
 
     def test_distinct_keys_distinct_draws(self):
         medium = RadioMedium(Medium.IEEE_802_15_4, rng=SeededRng(4))
         values = {
-            medium.pair_rssi(20.0, medium.pair_sample(s, r, q))
+            float(_rssi(medium, medium.pair_sample_block(s, q, _tails([r])), 20.0)[0])
             for s, r, q in [("a", "b", 1), ("a", "b", 2), ("a", "c", 1), ("b", "a", 1)]
         }
         assert len(values) == 4
 
     def test_pair_rssi_clamped_to_cull_margin(self):
-        from repro.sim.medium import SHADOWING_CULL_SIGMAS
-
+        """Shadowing clamps at ±6σ: over many ordinary draws, and on
+        hand-built extreme digests whose Box-Muller value is ±8.6σ."""
         medium = RadioMedium(Medium.IEEE_802_15_4, rng=SeededRng(4))
         params = medium.params
         bound = SHADOWING_CULL_SIGMAS * params.shadowing_sigma_db
-        for sequence in range(2000):
-            rssi = medium.pair_rssi(20.0, medium.pair_sample("a", "b", sequence))
-            assert abs(rssi - params.mean_rssi(20.0)) <= bound + 1e-9
+        receivers = [f"r{index}" for index in range(2000)]
+        rssi = _rssi(medium, medium.pair_sample_block("a", 1, _tails(receivers)), 20.0)
+        assert (abs(rssi - params.mean_rssi(20.0)) <= bound + 1e-9).all()
+        # Word 0 all ones puts u1 at 1 - 2**-53 (radius ~8.6); word 1
+        # picks the angle: 0 for +8.6σ, 0.5 turn for -8.6σ.
+        top = b"\xff" * 8
+        digests = [top + bytes(24), top + b"\x80" + bytes(23)]
+        extreme = HashedBlock(b"".join(digests), len(digests))
+        clamped = _rssi(medium, extreme, 20.0)
+        mean = params.mean_rssi(20.0)
+        assert list(clamped) == [mean + bound, mean - bound]
+        for row, digest in enumerate(digests):
+            assert clamped[row] == pair_rssi(params, 20.0, HashedDraws(digest))
 
     def test_pair_frame_lost_matches_probability(self):
         medium = RadioMedium(
             Medium.WIFI, rng=SeededRng(4), base_loss_probability=0.5
         )
-        losses = sum(
-            medium.pair_frame_lost(medium.pair_sample("a", "b", sequence))
-            for sequence in range(500)
-        )
+        receivers = [f"r{index}" for index in range(500)]
+        block = medium.pair_sample_block("a", 1, _tails(receivers))
+        losses = int(medium.pair_frame_lost_block(block).sum())
         assert 150 < losses < 350
 
     def test_pair_certain_loss_and_zero_loss_skip_draws(self):
         medium = RadioMedium(Medium.WIFI, rng=SeededRng(4))
-        draws = medium.pair_sample("a", "b", 1)
-        assert not medium.pair_frame_lost(draws)  # loss == 0, no draw
+        block = medium.pair_sample_block("a", 1, _tails(["b"]))
+        draws = _draws(medium, "a", 1, "b")
+        assert not medium.pair_frame_lost_block(block)[0]  # loss == 0
+        assert not pair_lost(0.0, draws)  # ...and no draw
         medium.set_interference(1.0)
-        assert medium.pair_frame_lost(draws)  # loss >= 1, no draw
+        assert medium.pair_frame_lost_block(block)[0]  # loss >= 1
+        assert pair_lost(1.0, draws)  # ...and no draw
         # The full budget is still available afterwards.
         draws.normal()
         draws.uniform()
@@ -116,102 +155,124 @@ class TestPairSampling:
         medium = RadioMedium(Medium.IEEE_802_15_4, rng=SeededRng(4))
         receivers = [f"r{index}" for index in range(64)]
         distances = np.linspace(0.0, 120.0, 64)
-        block = medium.pair_sample_block("sender", 9, receivers)
-        batch = medium.pair_rssi_block(distances, block)
+        block = medium.pair_sample_block("sender", 9, _tails(receivers))
+        batch = medium.pair_rssi_block(block, medium.params.mean_rssi_block(distances))
         for index, receiver in enumerate(receivers):
-            scalar = medium.pair_rssi(
-                float(distances[index]), medium.pair_sample("sender", receiver, 9)
-            )
-            assert batch[index] == scalar
+            draws = _draws(medium, "sender", 9, receiver)
+            assert batch[index] == pair_rssi(medium.params, float(distances[index]), draws)
 
     def test_pair_frame_lost_block_bit_identical_to_scalar(self):
         medium = RadioMedium(
             Medium.WIFI, rng=SeededRng(4), base_loss_probability=0.4
         )
         receivers = [f"r{index}" for index in range(200)]
-        block = medium.pair_sample_block("sender", 3, receivers)
-        # Shadowing must be consumed first, as the engine does, so the
-        # scalar draw offset lines up with the block's loss column.
-        medium.pair_rssi_block(np.full(len(receivers), 25.0), block)
+        block = medium.pair_sample_block("sender", 3, _tails(receivers))
         lost = medium.pair_frame_lost_block(block)
         for index, receiver in enumerate(receivers):
-            draws = medium.pair_sample("sender", receiver, 3)
-            medium.pair_rssi(25.0, draws)
-            assert bool(lost[index]) == medium.pair_frame_lost(draws)
+            draws = _draws(medium, "sender", 3, receiver)
+            # Shadowing is consumed first, so the reference's loss draw
+            # lines up with the block's loss column.
+            pair_rssi(medium.params, 25.0, draws)
+            assert bool(lost[index]) == pair_lost(0.4, draws)
         assert 0 < int(lost.sum()) < len(receivers)
 
     def test_pair_frame_lost_block_degenerate_branches(self):
         medium = RadioMedium(Medium.WIFI, rng=SeededRng(4))
-        block = medium.pair_sample_block("s", 1, ["a", "b", "c"])
+        block = medium.pair_sample_block("s", 1, _tails(["a", "b", "c"]))
         assert not medium.pair_frame_lost_block(block).any()  # loss == 0
         medium.set_interference(1.0)
         assert medium.pair_frame_lost_block(block).all()  # certain drop
 
     def test_pair_frame_lost_block_zero_sigma_uses_first_word(self):
         """With sigma == 0 shadowing consumes nothing, so the loss
-        uniform is draw word 0 — in both the scalar and block paths."""
+        uniform is draw word 0 — in both the reference and the block."""
         params = PathLossParams(shadowing_sigma_db=0.0)
         medium = RadioMedium(
             Medium.WIFI, params=params, rng=SeededRng(4),
             base_loss_probability=0.3,
         )
         receivers = [f"r{index}" for index in range(100)]
-        block = medium.pair_sample_block("s", 5, receivers)
-        rssi = medium.pair_rssi_block(np.full(len(receivers), 10.0), block)
+        block = medium.pair_sample_block("s", 5, _tails(receivers))
+        rssi = _rssi(medium, block, 10.0)
         assert (rssi == params.mean_rssi(10.0)).all()
         lost = medium.pair_frame_lost_block(block)
         for index, receiver in enumerate(receivers):
-            draws = medium.pair_sample("s", receiver, 5)
-            assert medium.pair_rssi(10.0, draws) == params.mean_rssi(10.0)
-            assert bool(lost[index]) == medium.pair_frame_lost(draws)
+            draws = _draws(medium, "s", 5, receiver)
+            assert pair_rssi(params, 10.0, draws) == params.mean_rssi(10.0)
+            assert bool(lost[index]) == pair_lost(0.3, draws)
+
+
+def _link(params=None, loss=0.0, receiver_at=5.0):
+    """One sender and one receiver ``receiver_at`` metres apart."""
+    sim = Simulator(seed=3)
+    sim.set_medium(
+        RadioMedium(
+            Medium.IEEE_802_15_4, params=params, rng=SeededRng(3),
+            base_loss_probability=loss,
+        )
+    )
+    sender = sim.add_node(SimNode(NodeId("s"), (0.0, 0.0), (Medium.IEEE_802_15_4,)))
+    sim.add_node(SimNode(NodeId("r"), (receiver_at, 0.0), (Medium.IEEE_802_15_4,)))
+    sim.run_until(0.0)
+    return sim, sender
+
+
+def _receptions(sim, sender, frames):
+    heard = []
+    for sequence in range(frames):
+        frame = Ieee802154Frame(pan_id=1, seq=sequence % 256, src=sender.node_id, dst=None)
+        heard.append(sender.send(Medium.IEEE_802_15_4, frame))
+        sim.run(0.01)
+    return heard
 
 
 class TestRadioMedium:
     def test_shadowing_varies_samples(self):
         medium = RadioMedium(Medium.WIFI, rng=SeededRng(1))
-        samples = {medium.rssi_at(20.0) for _ in range(10)}
-        assert len(samples) > 1
+        block = medium.pair_sample_block("a", 1, _tails([f"r{i}" for i in range(10)]))
+        assert len(set(_rssi(medium, block, 20.0).tolist())) > 1
 
     def test_zero_sigma_is_deterministic(self):
         params = PathLossParams(shadowing_sigma_db=0.0)
         medium = RadioMedium(Medium.WIFI, params=params, rng=SeededRng(1))
-        assert medium.rssi_at(20.0) == medium.rssi_at(20.0)
+        block = medium.pair_sample_block("a", 1, _tails(["b", "c"]))
+        assert (_rssi(medium, block, 20.0) == params.mean_rssi(20.0)).all()
 
     def test_receivable_threshold(self):
-        medium = RadioMedium(Medium.IEEE_802_15_4, rng=SeededRng(1))
-        assert medium.receivable(-89.9)
-        assert not medium.receivable(-90.1)
+        """A frame is heard at mean RSSI -89.9 dBm and not at -90.1."""
+        params = PathLossParams(shadowing_sigma_db=0.0)
+        for rssi, heard in ((-89.9, 1), (-90.1, 0)):
+            distance = 10.0 ** ((-40.0 - rssi) / 30.0)
+            sim, sender = _link(params, receiver_at=distance)
+            assert _receptions(sim, sender, 1) == [heard]
 
     def test_no_loss_by_default(self):
-        medium = RadioMedium(Medium.WIFI, rng=SeededRng(1))
-        assert not any(medium.frame_lost() for _ in range(100))
+        sim, sender = _link()
+        assert _receptions(sim, sender, 100) == [1] * 100
 
     def test_base_loss_probability(self):
-        medium = RadioMedium(
-            Medium.WIFI, rng=SeededRng(1), base_loss_probability=0.5
-        )
-        losses = sum(medium.frame_lost() for _ in range(500))
-        assert 150 < losses < 350
+        sim, sender = _link(loss=0.5)
+        assert 150 < sum(_receptions(sim, sender, 500)) < 350
 
     def test_interference_injection(self):
-        medium = RadioMedium(Medium.WIFI, rng=SeededRng(1))
-        medium.set_interference(1.0)
+        sim, sender = _link()
+        sim.medium(Medium.IEEE_802_15_4).set_interference(1.0)
         # A saturating jammer is a certain drop — no ~0.1% leak.
-        assert all(medium.frame_lost() for _ in range(100))
+        assert _receptions(sim, sender, 100) == [0] * 100
 
     def test_certain_loss_consumes_no_draw(self):
-        """loss >= 1.0 must not advance the RNG: draws made during a
-        total blackout cannot perturb draws made after it."""
-        def draws_after_blackout(blackout_frames):
-            medium = RadioMedium(Medium.WIFI, rng=SeededRng(9),
-                                 base_loss_probability=0.5)
-            medium.set_interference(1.0)
-            for _ in range(blackout_frames):
-                assert medium.frame_lost()
+        """Frames after a total blackout hear exactly what they would
+        have heard without it: draws are keyed per frame, so a blackout
+        cannot perturb later ones."""
+        def after(blackout):
+            sim, sender = _link(loss=0.5)
+            medium = sim.medium(Medium.IEEE_802_15_4)
+            medium.set_interference(1.0 if blackout else 0.0)
+            _receptions(sim, sender, 137)
             medium.set_interference(0.0)
-            return [medium.frame_lost() for _ in range(50)]
+            return _receptions(sim, sender, 50)
 
-        assert draws_after_blackout(0) == draws_after_blackout(137)
+        assert after(blackout=True) == after(blackout=False)
 
     def test_invalid_loss_rejected(self):
         with pytest.raises(ValueError):

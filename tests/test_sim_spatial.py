@@ -1,10 +1,10 @@
-"""Tests for the spatial grid index and the frame-delivery fast path.
+"""Tests for the spatial grid index and grid-culled frame delivery.
 
 The load-bearing property: routing transmissions through the spatial
 grid yields the *identical* reception set — receiver for receiver,
-RSSI for RSSI — as a brute-force scan of every node, because draws are
-keyed per (sender, receiver, transmission) and culled candidates can
-never be receivable (clamped shadowing margin).
+RSSI for RSSI — as the test reference's scan of every node, because
+draws are keyed per (sender, receiver, transmission) and culled
+candidates can never be receivable (clamped shadowing margin).
 """
 
 import math
@@ -14,12 +14,16 @@ import pytest
 from repro.net.packets.base import Medium
 from repro.net.packets.ieee802154 import Ieee802154Frame
 from repro.sim.engine import Simulator
-from repro.sim.medium import DEFAULT_PARAMS, SHADOWING_CULL_SIGMAS
-from repro.sim.node import SimNode
+from repro.sim.medium import DEFAULT_PARAMS, SHADOWING_CULL_SIGMAS, RadioMedium
 from repro.sim.spatial import SpatialGrid
 from repro.sim.topology import random_positions
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
+from tests.sim_reference import RecordingNode, send_expecting
+
+
+def _near(grid, position):
+    return set(grid.near_arrays(position)[0])
 
 
 class TestSpatialGrid:
@@ -30,7 +34,7 @@ class TestSpatialGrid:
         assert len(grid) == 1
         grid.remove("a")
         assert "a" not in grid
-        assert grid.near((0.0, 0.0)) == []
+        assert _near(grid, (0.0, 0.0)) == set()
 
     def test_duplicate_insert_rejected(self):
         grid = SpatialGrid(cell_size=10.0)
@@ -64,7 +68,7 @@ class TestSpatialGrid:
             members[index] = position
             grid.insert(index, position)
         for query in [(0.0, 0.0), (10.0, 10.0), (-9.99, 29.99), (49.0, -49.0)]:
-            near = set(grid.near(query))
+            near = _near(grid, query)
             for key, position in members.items():
                 if math.hypot(position[0] - query[0], position[1] - query[1]) <= cell:
                     assert key in near, (key, position, query)
@@ -73,11 +77,11 @@ class TestSpatialGrid:
         grid = SpatialGrid(cell_size=10.0)
         grid.insert("a", (1.0, 1.0))
         grid.move("a", (55.0, 55.0))
-        assert "a" not in grid.near((0.0, 0.0))
-        assert "a" in grid.near((50.0, 50.0))
-        # In-cell move is a no-op but must keep the member findable.
+        assert "a" not in _near(grid, (0.0, 0.0))
+        assert "a" in _near(grid, (50.0, 50.0))
+        # In-cell move keeps the member findable.
         grid.move("a", (56.0, 56.0))
-        assert "a" in grid.near((50.0, 50.0))
+        assert "a" in _near(grid, (50.0, 50.0))
 
     def test_unbounded_grid_returns_everyone(self):
         for size in (None, math.inf, 1.0e9):
@@ -85,57 +89,37 @@ class TestSpatialGrid:
             assert grid.unbounded
             grid.insert("a", (0.0, 0.0))
             grid.insert("b", (1.0e6, -1.0e6))
-            assert set(grid.near((123.0, 456.0))) == {"a", "b"}
+            assert _near(grid, (123.0, 456.0)) == {"a", "b"}
 
 
-class _RecordingNode(SimNode):
-    """Collects (sequence, rssi) per received frame."""
-
-    def __init__(self, node_id, position, mediums):
-        super().__init__(node_id, position, mediums=mediums)
-        self.heard = []
-
-    def on_receive(self, packet, medium, rssi, timestamp):
-        self.heard.append((packet.seq, rssi))
-
-
-def _build(seed, positions, use_spatial_index):
-    sim = Simulator(seed=seed, use_spatial_index=use_spatial_index)
-    nodes = []
-    for index, position in enumerate(positions):
-        nodes.append(
-            sim.add_node(
-                _RecordingNode(
-                    NodeId(f"n{index:03d}"), position, mediums=(Medium.IEEE_802_15_4,)
-                )
+def _build(seed, positions):
+    sim = Simulator(seed=seed)
+    log = []
+    nodes = [
+        sim.add_node(
+            RecordingNode(
+                NodeId(f"n{index:03d}"), position, (Medium.IEEE_802_15_4,), log
             )
         )
+        for index, position in enumerate(positions)
+    ]
     sim.run_until(0.001)
-    return sim, nodes
+    return sim, nodes, log
 
 
 def _broadcast_all(sim, nodes, frames):
-    receptions = []
+    """Round-robin broadcasts; the reference's expected delivery log."""
+    expected = []
     for sequence in range(frames):
         sender = nodes[sequence % len(nodes)]
-        receptions.append(
-            sender.send(
-                Medium.IEEE_802_15_4,
-                Ieee802154Frame(
-                    pan_id=1, seq=sequence, src=sender.node_id, dst=None
-                ),
-            )
-        )
+        frame = Ieee802154Frame(pan_id=1, seq=sequence, src=sender.node_id, dst=None)
+        expected += send_expecting(sim, sender, Medium.IEEE_802_15_4, frame)
         sim.run(0.05)
-    return receptions
-
-
-def _reception_map(nodes):
-    return {node.node_id.value: node.heard for node in nodes}
+    return expected
 
 
 class TestFastPathEquivalence:
-    """Grid-indexed transmit == brute-force transmit, draw for draw."""
+    """Grid-culled transmit == the reference's full scan, draw for draw."""
 
     @pytest.mark.parametrize("seed", [3, 17, 92])
     def test_random_topology_identical_receptions(self, seed):
@@ -145,15 +129,12 @@ class TestFastPathEquivalence:
         positions = random_positions(
             40, (0, 0, span, span), rng=SeededRng(seed, "topo")
         )
-        sim_a, nodes_a = _build(seed, positions, use_spatial_index=True)
-        sim_b, nodes_b = _build(seed, positions, use_spatial_index=False)
-        counts_a = _broadcast_all(sim_a, nodes_a, frames=30)
-        counts_b = _broadcast_all(sim_b, nodes_b, frames=30)
-        assert counts_a == counts_b
-        assert _reception_map(nodes_a) == _reception_map(nodes_b)
-        assert sim_a.deliveries == sim_b.deliveries
+        sim, nodes, log = _build(seed, positions)
+        expected = _broadcast_all(sim, nodes, frames=30)
+        assert log == expected and expected
+        assert sim.deliveries == len(expected)
         # ...and the index did real culling work along the way.
-        assert sim_a.candidate_evaluations < sim_b.candidate_evaluations
+        assert sim.candidate_evaluations < 30 * (len(nodes) - 1)
 
     def test_cell_boundary_straddlers(self):
         """Senders and receivers pinned to exact cell-boundary
@@ -167,34 +148,50 @@ class TestFastPathEquivalence:
             (cell / 2, cell / 2),
             (cell * 0.999, cell * 1.001),
         ]
-        sim_a, nodes_a = _build(7, positions, use_spatial_index=True)
-        sim_b, nodes_b = _build(7, positions, use_spatial_index=False)
-        _broadcast_all(sim_a, nodes_a, frames=len(positions) * 2)
-        _broadcast_all(sim_b, nodes_b, frames=len(positions) * 2)
-        assert _reception_map(nodes_a) == _reception_map(nodes_b)
+        sim, nodes, log = _build(7, positions)
+        expected = _broadcast_all(sim, nodes, frames=len(positions) * 2)
+        assert log == expected and expected
 
     def test_equivalence_survives_moves_and_removal(self):
         span = DEFAULT_PARAMS[Medium.IEEE_802_15_4].max_range_m() * 3
         positions = random_positions(
             20, (0, 0, span, span), rng=SeededRng(11, "topo")
         )
-        sim_a, nodes_a = _build(11, positions, use_spatial_index=True)
-        sim_b, nodes_b = _build(11, positions, use_spatial_index=False)
-        move_rng_a = SeededRng(11, "moves")
-        move_rng_b = SeededRng(11, "moves")
+        sim, nodes, log = _build(11, positions)
+        move_rng = SeededRng(11, "moves")
+        expected = []
         for round_index in range(6):
-            for sim, nodes, rng in (
-                (sim_a, nodes_a, move_rng_a),
-                (sim_b, nodes_b, move_rng_b),
-            ):
-                mover = nodes[round_index % len(nodes)]
-                mover.move_to((rng.uniform(0, span), rng.uniform(0, span)))
-                _broadcast_all(sim, nodes, frames=5)
-        sim_a.remove_node(nodes_a[3].node_id)
-        sim_b.remove_node(nodes_b[3].node_id)
-        _broadcast_all(sim_a, [n for n in nodes_a if n.attached], frames=8)
-        _broadcast_all(sim_b, [n for n in nodes_b if n.attached], frames=8)
-        assert _reception_map(nodes_a) == _reception_map(nodes_b)
+            mover = nodes[round_index % len(nodes)]
+            mover.move_to((move_rng.uniform(0, span), move_rng.uniform(0, span)))
+            expected += _broadcast_all(sim, nodes, frames=5)
+        sim.remove_node(nodes[3].node_id)
+        expected += _broadcast_all(sim, [n for n in nodes if n.attached], frames=8)
+        assert log == expected and expected
+
+    def test_only_in_range_pairs_are_hashed(self, monkeypatch):
+        """The distance mask keeps per-frame draw work to the candidates
+        within the cull range (the sender included), however many the
+        3x3 neighborhood holds."""
+        hashed = []
+        block = RadioMedium.pair_sample_block
+
+        def spy(model, sender_id, sequence, encoded_tails):
+            hashed.append(len(encoded_tails))
+            return block(model, sender_id, sequence, encoded_tails)
+
+        monkeypatch.setattr(RadioMedium, "pair_sample_block", spy)
+        cull = Simulator().medium(Medium.IEEE_802_15_4).cull_range_m()
+        positions = random_positions(
+            40, (0, 0, cull * 3, cull * 3), rng=SeededRng(5, "topo")
+        )
+        sim, nodes, _ = _build(5, positions)
+        _broadcast_all(sim, nodes, frames=40)
+        in_range = [
+            sum(math.dist(sender.position, node.position) <= cull for node in nodes)
+            for sender in nodes
+        ]
+        assert hashed == in_range
+        assert sum(in_range) < sim.candidate_evaluations + len(nodes)
 
     def test_order_independent_draws(self):
         """Adding an unrelated node must not perturb an existing pair's
@@ -202,17 +199,16 @@ class TestFastPathEquivalence:
 
         def first_rssi(extra_node):
             positions = [(0.0, 0.0), (15.0, 0.0)]
-            sim, nodes = _build(21, positions, use_spatial_index=True)
+            sim, nodes, log = _build(21, positions)
             if extra_node:
                 sim.add_node(
-                    _RecordingNode(
-                        NodeId("zzz-extra"), (5.0, 5.0),
-                        mediums=(Medium.IEEE_802_15_4,),
+                    RecordingNode(
+                        NodeId("zzz-extra"), (5.0, 5.0), (Medium.IEEE_802_15_4,), []
                     )
                 )
                 sim.run(0.001)
             _broadcast_all(sim, nodes[:1], frames=1)
-            return nodes[1].heard
+            return [(receiver, rssi) for receiver, rssi, _ in log]
 
         lonely = first_rssi(extra_node=False)
         crowded = first_rssi(extra_node=True)
