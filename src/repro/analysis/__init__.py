@@ -11,22 +11,22 @@ Public surface:
 
 - :func:`repro.analysis.engine.run_rules` /
   :class:`repro.analysis.project.Project` — programmatic analysis;
-- :func:`repro.analysis.rules.labels.derive_label_flow` — the KL003
-  producer/consumer label map (machine-checked against the paper's
-  Figure 3 taxonomy in tests);
 - :class:`repro.analysis.callgraph.CallGraph` /
   :func:`repro.analysis.knowflow.derive_knowflow` — the whole-program
   symbol/call-graph layer and the knowledge-flow + topic graphs the
-  KL1xx rules run on (exported via ``kalis-lint graph``);
+  KL1xx rules run on (exported via ``kalis-lint graph``; its
+  Requirement labels are machine-checked against the paper's Figure 3
+  taxonomy in tests);
 - :mod:`repro.analysis.cli` — the ``kalis-lint`` command.
 
-Per-file rules: KL001 determinism, KL002 module contracts, KL003
-knowledge-label flow, KL004 packet schemas, KL005 event-bus topics,
-KL006 unused imports, KL007 swallowed exceptions, KL008 no print()
-outside the CLI surface — plus KL000 (syntax failure) and KL099 (stale
-baseline entry).  Whole-program rules: KL101 knowgget liveness, KL102
-dead knowledge, KL103 orphan bus topics, KL104 module contract drift,
-KL105 determinism taint.
+Per-file rules: KL001 determinism, KL002 module contracts, KL004 packet
+schemas, KL006 unused imports, KL007 swallowed exceptions, KL008 no
+print() outside the CLI surface — plus KL000 (syntax failure) and KL099
+(stale baseline entry).  Whole-program rules: KL101 knowgget liveness,
+KL102 dead knowledge, KL103 orphan bus topics, KL104 module contract
+drift, KL105 determinism taint; KL201–KL205 checkpoint state and
+KL301–KL306 process boundaries.  Each whole-program layer (call graph,
+flow, state, proc) is built at most once per project.
 """
 
 from repro.analysis.baseline import Baseline, BaselineEntry

@@ -7,7 +7,7 @@ survive unrelated edits but die with the code they describe.
 
 File format (``kalis-lint.baseline``), one entry per line::
 
-    KL003 src/repro/core/modules/detection/data_alteration.py IntegrityProtection -- a-priori config knowgget
+    KL102 src/repro/core/modules/sensing/mobility.py SignalStrength -- collective knowgget
 
 Blank lines and ``#`` comments are ignored.  The ``--`` separator
 introduces the mandatory reason.

@@ -22,10 +22,14 @@ call lands in* — so a topic constant passed through a wrapper like
   wrappers resolve too.
 
 Resolution is deliberately name-based (no type inference): ``self.kb``
-and ``self.bus`` receiver roles follow the same spelling conventions the
-per-file rules use, plus the two defining classes themselves
-(``KnowledgeBase`` methods called on ``self`` are KB primitives,
-``EventBus`` methods called on ``self`` are bus primitives).
+and ``self.bus`` receiver roles follow spelling conventions, plus the two
+defining classes themselves (``KnowledgeBase`` methods called on
+``self`` are KB primitives, ``EventBus`` methods called on ``self`` are
+bus primitives).
+
+The graph is built once per project (:meth:`CallGraph.of`), and the
+flow, state and proc layers built on it share one scope:
+:func:`scanned`.
 """
 
 from __future__ import annotations
@@ -34,12 +38,17 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.astutil import call_arg, call_chain
+from repro.analysis.astutil import attribute_chain, call_arg, call_chain
 from repro.analysis.project import Project, SourceFile
 
-#: Receiver spellings that denote a KnowledgeBase (mirror rules/labels).
+#: Packages the whole-program layers never scan: the analyzer itself,
+#: and the taxonomy helpers, which build knowledge bases reflectively
+#: from the very maps under test.
+EXCLUDED_PACKAGES = ("repro.analysis", "repro.taxonomy")
+
+#: Receiver spellings that denote a KnowledgeBase.
 KB_RECEIVERS = frozenset({"kb", "_kb"})
-#: Receiver suffixes that denote an EventBus (mirror rules/topics).
+#: Receiver suffixes that denote an EventBus.
 BUS_RECEIVER_SUFFIXES = ("bus", "_bus")
 #: Classes whose ``self.<method>`` calls are primitives of that role.
 KB_CLASSES = frozenset({"KnowledgeBase"})
@@ -53,6 +62,11 @@ KB_READ_METHODS = frozenset(
 )
 BUS_PUBLISH_METHODS = frozenset({"publish"})
 BUS_SUBSCRIBE_METHODS = frozenset({"subscribe", "subscribe_prefix"})
+
+
+def scanned(source: SourceFile) -> bool:
+    """Do the flow, state and proc layers scan this file?"""
+    return not any(source.in_package(pkg) for pkg in EXCLUDED_PACKAGES)
 
 
 @dataclass
@@ -136,6 +150,11 @@ class CallGraph:
     # -- construction ----------------------------------------------------------
 
     @classmethod
+    def of(cls, project: Project) -> "CallGraph":
+        """The project's call graph, built on first use."""
+        return project.layer("callgraph", cls.build)
+
+    @classmethod
     def build(cls, project: Project) -> "CallGraph":
         graph = cls(project)
         for source in project.files:
@@ -151,7 +170,7 @@ class CallGraph:
             if isinstance(node, ast.ClassDef):
                 bases = []
                 for base in node.bases:
-                    chain = _chain_of(base)
+                    chain = attribute_chain(base)
                     if chain:
                         bases.append(chain[-1])
                 info = ClassInfo(
@@ -212,7 +231,7 @@ class CallGraph:
         chain = site.chain
         module = site.source.module
         if len(chain) == 1:
-            return self._resolve_name(module, chain[0])
+            return self.resolve_name(module, chain[0])
         if chain[0] in ("self", "cls") and len(chain) == 2:
             if site.caller is None or site.caller.class_name is None:
                 return None
@@ -234,7 +253,8 @@ class CallGraph:
                 return self.functions.get((target_module, chain[-1]))
         return None
 
-    def _resolve_name(self, module: str, name: str) -> Optional[FunctionInfo]:
+    def resolve_name(self, module: str, name: str) -> Optional[FunctionInfo]:
+        """A bare name's function definition (local or imported)."""
         direct = self.functions.get((module, name))
         if direct is not None:
             return direct
@@ -267,7 +287,7 @@ class CallGraph:
     def receiver_role(self, site: CallSite) -> Optional[str]:
         """``"kb"`` / ``"bus"`` when the call's receiver denotes one.
 
-        Follows the per-file spelling conventions (``…kb.put``,
+        Follows the receiver spelling conventions (``…kb.put``,
         ``…bus.publish``) and additionally treats ``self.<primitive>``
         inside the defining classes themselves as that role.
         """
@@ -388,19 +408,6 @@ def _param_names(node: ast.AST, method: bool) -> Tuple[str, ...]:
     if method and names and names[0] in ("self", "cls"):
         names = names[1:]
     return tuple(names)
-
-
-def _chain_of(node: ast.AST) -> Optional[List[str]]:
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        parts.reverse()
-        return parts
-    return None
 
 
 def _walk_definitions(

@@ -5,12 +5,10 @@ invariant checker over a source tree::
 
     kalis-lint src/repro                 # lint, honoring the baseline
     kalis-lint --list-rules              # what is checked
-    kalis-lint --select KL001,KL003 …    # a subset of rules
+    kalis-lint --select KL001,KL101 …    # a subset of rules
     kalis-lint --write-baseline …        # snapshot current findings
     kalis-lint --format json …           # machine-readable output
     kalis-lint --format sarif …          # SARIF 2.1.0 (CI annotations)
-    kalis-lint --jobs 4 …                # file rules across 4 processes
-                                         # (output identical to serial)
     kalis-lint --changed [REF] …         # only files touched since REF
                                          # (plus their transitive importers)
     kalis-lint --fix [--dry-run] …       # rewrite autofixable findings
@@ -41,16 +39,17 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.baseline import Baseline, BaselineError
+from repro.analysis.cache import LintCache
 from repro.analysis.engine import (
     STALE_BASELINE_RULE_ID,
     available_rules,
     run_rules,
 )
 from repro.analysis.findings import Finding, Severity, sort_findings
-from repro.analysis.project import Project
+from repro.analysis.project import Project, _find_root
 
 #: Default baseline file name, looked up in the project root.
 BASELINE_FILENAME = "kalis-lint.baseline"
@@ -108,14 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "sarif"),
         default="text",
         dest="output_format",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run file-scoped rules across N worker processes (default 1"
-        " = serial; output is byte-identical either way)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="list rules and exit"
@@ -209,35 +200,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{rule_class.ID}  {rule_class.TITLE}")
         return 0
 
-    paths = [Path(p) for p in options.paths]
-    if not paths:
-        default = Path("src/repro")
-        if not default.exists():
-            parser.error("no paths given and ./src/repro does not exist")
-        paths = [default]
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        parser.error(f"no such path: {', '.join(missing)}")
-
-    cache = None
-    if not options.no_cache:
-        from repro.analysis.cache import LintCache
-        from repro.analysis.project import _find_root
-
-        cache_root = (
-            options.root
-            or _find_root([path.resolve() for path in paths])
-        ).resolve()
-        cache = LintCache(cache_root)
-    project = Project.load(paths, root=options.root, cache=cache)
+    project, cache = _load_project(parser, options, cached=not options.no_cache)
 
     select = None
     if options.select:
         select = [r.strip() for r in options.select.split(",") if r.strip()]
     try:
-        findings = run_rules(
-            project, select=select, cache=cache, jobs=options.jobs
-        )
+        findings = run_rules(project, select=select, cache=cache)
     except KeyError as error:
         # str(KeyError) wraps the message in quotes; unwrap it.
         parser.error(error.args[0] if error.args else str(error))
@@ -355,6 +324,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 1 if reported else 0
 
 
+def _load_project(
+    parser: argparse.ArgumentParser,
+    options: argparse.Namespace,
+    cached: bool,
+) -> Tuple[Project, Optional[LintCache]]:
+    """Parse ``options.paths`` (default ``src/repro``), through the
+    on-disk cache when ``cached``; a missing path is a usage error."""
+    paths = [Path(p) for p in options.paths] or [Path("src/repro")]
+    if not options.paths and not paths[0].exists():
+        parser.error("no paths given and ./src/repro does not exist")
+    missing = [str(p) for p in paths if not p.exists()]
+    if missing:
+        parser.error(f"no such path: {', '.join(missing)}")
+    cache = None
+    if cached:
+        root = options.root or _find_root([p.resolve() for p in paths])
+        cache = LintCache(root.resolve())
+    return Project.load(paths, root=options.root, cache=cache), cache
+
+
 def _changed_scope(project: Project, ref: str) -> Set[str]:
     """Relpaths in the change closure: files changed vs. ``ref`` plus
     every file that (transitively) imports one of them."""
@@ -417,17 +406,7 @@ def graph_main(argv: List[str]) -> int:
     """Run ``kalis-lint graph``; returns the process exit code."""
     parser = build_graph_parser()
     options = parser.parse_args(argv)
-    paths = [Path(p) for p in options.paths]
-    if not paths:
-        default = Path("src/repro")
-        if not default.exists():
-            parser.error("no paths given and ./src/repro does not exist")
-        paths = [default]
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        parser.error(f"no such path: {', '.join(missing)}")
-
-    project = Project.load(paths, root=options.root)
+    project, _ = _load_project(parser, options, cached=False)
     if options.view == "proc":
         from repro.analysis import procgraph
 
@@ -513,26 +492,7 @@ def baseline_main(argv: List[str]) -> int:
     """Run ``kalis-lint baseline``; returns the process exit code."""
     parser = build_baseline_parser()
     options = parser.parse_args(argv)
-    paths = [Path(p) for p in options.paths]
-    if not paths:
-        default = Path("src/repro")
-        if not default.exists():
-            parser.error("no paths given and ./src/repro does not exist")
-        paths = [default]
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        parser.error(f"no such path: {', '.join(missing)}")
-
-    cache = None
-    if not options.no_cache:
-        from repro.analysis.cache import LintCache
-        from repro.analysis.project import _find_root
-
-        cache_root = (
-            options.root or _find_root([path.resolve() for path in paths])
-        ).resolve()
-        cache = LintCache(cache_root)
-    project = Project.load(paths, root=options.root, cache=cache)
+    project, cache = _load_project(parser, options, cached=not options.no_cache)
     findings = run_rules(project, cache=cache)
 
     baseline_path = options.baseline or (project.root / BASELINE_FILENAME)

@@ -112,18 +112,12 @@ def run_rules(
     project: Project,
     select: Optional[Iterable[str]] = None,
     cache: Optional["LintCache"] = None,
-    jobs: int = 1,
 ) -> List[Finding]:
     """Run the selected rules (default: all) over a parsed project.
 
     With a :class:`~repro.analysis.cache.LintCache`, file-scoped rules
     re-run only on files whose content changed, and program-scoped
     rules re-run only when any file (or the analysis code) changed.
-
-    With ``jobs > 1``, cache-miss file-scoped work fans out across a
-    process pool (:mod:`repro.analysis.parallel`); results come back in
-    serial iteration order, so the output is byte-identical to
-    ``jobs=1``, and any pool failure silently falls back to serial.
     """
     _ensure_rules_loaded()
     findings: List[Finding] = [
@@ -146,63 +140,32 @@ def run_rules(
                 f" known: {', '.join(sorted(_RULES))}"
             )
     tree_digest = cache.tree_digest(project.files) if cache is not None else ""
-    selected = [
-        rule_id
-        for rule_id in sorted(_RULES)
-        if chosen is None or rule_id in chosen
-    ]
-    file_rule_ids = [
-        rule_id for rule_id in selected if _RULES[rule_id].SCOPE == "file"
-    ]
-
-    # File-scoped rules: consult the cache first, then run the misses —
-    # through the pool when there are enough of them, serially otherwise.
-    per_task: Dict[tuple, List[Finding]] = {}
-    pending: List[tuple] = []
-    for rule_id in file_rule_ids:
-        for index, source in enumerate(project.files):
-            cached = (
-                cache.get_file_findings(source.relpath, source.text, rule_id)
-                if cache is not None
-                else None
-            )
-            if cached is None:
-                pending.append((rule_id, index))
-            else:
-                per_task[(rule_id, index)] = cached
-    computed: Dict[tuple, List[Finding]] = {}
-    if pending and jobs > 1:
-        from repro.analysis.parallel import MIN_TASKS, run_file_tasks
-
-        if len(pending) >= MIN_TASKS:
-            computed = run_file_tasks(project, pending, jobs) or {}
-    instances = {rule_id: _RULES[rule_id]() for rule_id in file_rule_ids}
-    for rule_id, index in pending:
-        source = project.files[index]
-        results = computed.get((rule_id, index))
-        if results is None:
-            results = list(instances[rule_id].check_file(project, source))
-        if cache is not None:
-            cache.put_file_findings(
-                source.relpath, source.text, rule_id, results
-            )
-        per_task[(rule_id, index)] = results
-    for rule_id in file_rule_ids:
-        for index in range(len(project.files)):
-            findings.extend(per_task[(rule_id, index)])
-
-    for rule_id in selected:
-        if _RULES[rule_id].SCOPE == "file":
+    for rule_id in sorted(_RULES):
+        if chosen is not None and rule_id not in chosen:
             continue
         rule = _RULES[rule_id]()
-        if cache is None:
+        if rule.SCOPE == "file":
+            for source in project.files:
+                cached = (
+                    cache.get_file_findings(source.relpath, source.text, rule_id)
+                    if cache is not None
+                    else None
+                )
+                if cached is None:
+                    cached = list(rule.check_file(project, source))
+                    if cache is not None:
+                        cache.put_file_findings(
+                            source.relpath, source.text, rule_id, cached
+                        )
+                findings.extend(cached)
+        elif cache is None:
             findings.extend(rule.check(project))
-            continue
-        cached = cache.get_program_findings(tree_digest, rule_id)
-        if cached is None:
-            cached = list(rule.check(project))
-            cache.put_program_findings(tree_digest, rule_id, cached)
-        findings.extend(cached)
+        else:
+            cached = cache.get_program_findings(tree_digest, rule_id)
+            if cached is None:
+                cached = list(rule.check(project))
+                cache.put_program_findings(tree_digest, rule_id, cached)
+            findings.extend(cached)
     if cache is not None:
         cache.flush()
     return sort_findings(findings)

@@ -12,9 +12,9 @@ the two dataflow surfaces Kalis's correctness rests on (paper §IV):
   topic-forwarding wrapper such as ``ModuleSupervisor._publish``) and
   every ``bus.subscribe`` / ``subscribe_prefix`` site.
 
-Unlike the per-file KL003/KL005 passes, sites hidden behind wrappers are
-resolved here (``self._publish_rate(f"TrafficIn.{kind}", …)`` *is* a
-``TrafficIn.`` writer), and a light local constant propagation follows
+Sites hidden behind wrappers are resolved here
+(``self._publish_rate(f"TrafficIn.{kind}", …)`` *is* a ``TrafficIn.``
+writer), and a light local constant propagation follows
 single-assignment locals (``label = f"SharedAlert{i}"; kb.put(label)``
 is a ``SharedAlert`` prefix write).
 
@@ -37,13 +37,11 @@ from repro.analysis.astutil import (
     patterns_overlap,
     string_pattern,
 )
-from repro.analysis.callgraph import CallGraph, CallSite, FunctionInfo
+from repro.analysis.callgraph import CallGraph, CallSite, FunctionInfo, scanned
 from repro.analysis.project import Project
 
-#: Packages the flow never scans: the analyzer itself, and the taxonomy
-#: helpers which build knowledge bases reflectively from the very maps
-#: under test (mirrors rules/labels.py).
-EXCLUDED_PACKAGES = ("repro.analysis", "repro.taxonomy")
+#: Enclosing function key -> its single-assignment string locals.
+LocalsMemo = Dict[Tuple[str, str], Dict[str, StrPattern]]
 
 
 @dataclass(frozen=True)
@@ -114,21 +112,16 @@ class KnowFlow:
         return bool(self.string_constants.get(label, set()) - own_paths)
 
 
-def derive_knowflow(
-    project: Project, graph: Optional[CallGraph] = None
-) -> KnowFlow:
-    """Build the knowledge-flow and topic graphs for a parsed project."""
-    if graph is None:
-        graph = CallGraph.build(project)
-    flow = KnowFlow()
-    excluded_files = {
-        source.module
-        for source in project.files
-        if any(source.in_package(pkg) for pkg in EXCLUDED_PACKAGES)
-    }
+def derive_knowflow(project: Project) -> KnowFlow:
+    """The knowledge-flow and topic graphs of a project, built once."""
+    return project.layer("flow", _build_knowflow)
 
+
+def _build_knowflow(project: Project) -> KnowFlow:
+    graph = CallGraph.of(project)
+    flow = KnowFlow()
     for source in project.files:
-        if source.module in excluded_files:
+        if not scanned(source):
             continue
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -136,16 +129,20 @@ def derive_knowflow(
                     source.relpath
                 )
 
+    memo: LocalsMemo = {}
     for site in graph.call_sites:
-        if site.source.module in excluded_files:
-            continue
-        _classify_site(project, graph, site, flow)
+        if scanned(site.source):
+            _classify_site(project, graph, memo, site, flow)
     _sort_flow(flow)
     return flow
 
 
 def _classify_site(
-    project: Project, graph: CallGraph, site: CallSite, flow: KnowFlow
+    project: Project,
+    graph: CallGraph,
+    memo: LocalsMemo,
+    site: CallSite,
+    flow: KnowFlow,
 ) -> None:
     chain = site.chain
     method = chain[-1]
@@ -157,7 +154,7 @@ def _classify_site(
         label_node = call_arg(site.node, 0, "label")
         if label_node is None:
             return
-        pattern = _pattern_at(project, graph, site, label_node)
+        pattern = _pattern_at(project, memo, site, label_node)
         flow.reads.append(
             _site(
                 site,
@@ -200,12 +197,12 @@ def _classify_site(
                 flow.writes.append(
                     _site(
                         site,
-                        _pattern_at(project, graph, site, argument),
+                        _pattern_at(project, memo, site, argument),
                         method,
                     )
                 )
             else:
-                for pattern in _read_patterns(project, graph, site, argument):
+                for pattern in _read_patterns(project, memo, site, argument):
                     flow.reads.append(
                         _site(
                             site,
@@ -220,7 +217,7 @@ def _classify_site(
             )
             if argument is None:
                 return
-            pattern = _pattern_at(project, graph, site, argument)
+            pattern = _pattern_at(project, memo, site, argument)
             if method == "subscribe_prefix" and pattern[0] == "exact":
                 # A prefix subscription matches a topic family by design.
                 pattern = ("prefix", pattern[1])
@@ -237,7 +234,7 @@ def _classify_site(
     argument = call_arg(site.node, spec.index, spec.param)
     if argument is None:
         return
-    pattern = _pattern_at(project, graph, site, argument)
+    pattern = _pattern_at(project, memo, site, argument)
     assert site.target is not None
     derived = f"{site.target.module}.{site.target.qualname}"
     if spec.role == "kb" and spec.kind == "write":
@@ -245,7 +242,7 @@ def _classify_site(
             _site(site, pattern, spec.method, derived_from=derived)
         )
     elif spec.role == "kb":
-        for sub_pattern in _read_patterns(project, graph, site, argument):
+        for sub_pattern in _read_patterns(project, memo, site, argument):
             flow.reads.append(
                 _site(
                     site,
@@ -286,7 +283,7 @@ def _site(
 
 
 def _pattern_at(
-    project: Project, graph: CallGraph, site: CallSite, node: ast.expr
+    project: Project, memo: LocalsMemo, site: CallSite, node: ast.expr
 ) -> StrPattern:
     """Classify a string argument, with local constant propagation.
 
@@ -297,7 +294,7 @@ def _pattern_at(
     """
     module = site.source.module
     locals_map = (
-        _local_bindings(project, graph, site.caller) if site.caller else {}
+        _local_bindings(project, memo, site.caller) if site.caller else {}
     )
 
     def resolve(name: str) -> Optional[str]:
@@ -317,15 +314,10 @@ def _pattern_at(
 
 
 def _local_bindings(
-    project: Project, graph: CallGraph, caller: FunctionInfo
+    project: Project, memo: LocalsMemo, caller: FunctionInfo
 ) -> Dict[str, StrPattern]:
     """Single-assignment local name -> statically-known string pattern."""
-    cache: Dict[Tuple[str, str], Dict[str, StrPattern]] = getattr(
-        graph, "_locals_cache", None
-    ) or {}
-    if not hasattr(graph, "_locals_cache"):
-        graph._locals_cache = cache  # type: ignore[attr-defined]
-    cached = cache.get(caller.key)
+    cached = memo.get(caller.key)
     if cached is not None:
         return cached
 
@@ -362,15 +354,15 @@ def _local_bindings(
         for name, pattern in bindings.items()
         if assigned.get(name, 0) == 1 and pattern[0] != "dynamic"
     }
-    cache[caller.key] = result
+    memo[caller.key] = result
     return result
 
 
 def _read_patterns(
-    project: Project, graph: CallGraph, site: CallSite, node: ast.expr
+    project: Project, memo: LocalsMemo, site: CallSite, node: ast.expr
 ) -> List[StrPattern]:
     """Read-side patterns: a str pattern, or each element of a str-tuple."""
-    pattern = _pattern_at(project, graph, site, node)
+    pattern = _pattern_at(project, memo, site, node)
     if pattern[0] != "dynamic":
         return [pattern]
     if isinstance(node, ast.Name):

@@ -48,11 +48,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo
-from repro.analysis.project import Project, SourceFile
-
-#: Packages the graph never scans (mirrors knowflow/stategraph).
-EXCLUDED_PACKAGES = ("repro.analysis", "repro.taxonomy")
+from repro.analysis.astutil import keyword_arg
+from repro.analysis.callgraph import CallGraph, FunctionInfo, scanned
+from repro.analysis.project import Project
 
 #: ``(module, callee) -> (format, direction)`` for serializer calls.
 SERIALIZER_CALLS = {
@@ -239,9 +237,6 @@ class ProcGraph:
     #: Bare names of calls/functions that transitively make state durable.
     durable_names: Set[str] = field(default_factory=set)
 
-    def scanned(self, source: SourceFile) -> bool:
-        return not any(source.in_package(pkg) for pkg in EXCLUDED_PACKAGES)
-
     def writer_functions(self) -> Set[Tuple[str, str]]:
         """(module, qualname) of every schema writer."""
         return {
@@ -263,16 +258,15 @@ class ProcGraph:
         return names
 
 
-def derive_procgraph(
-    project: Project, graph: Optional[CallGraph] = None
-) -> ProcGraph:
-    """Build the whole-program process-boundary graph."""
-    if graph is None:
-        graph = CallGraph.build(project)
-    proc = ProcGraph(project=project, graph=graph)
-    int_constants = _module_int_constants(project, proc)
+def derive_procgraph(project: Project) -> ProcGraph:
+    """The whole-program process-boundary graph of a project, built once."""
+    return project.layer("proc", _build_procgraph)
+
+
+def _build_procgraph(project: Project) -> ProcGraph:
+    proc = ProcGraph(project=project, graph=CallGraph.of(project))
     _collect_call_sites(proc)
-    _collect_schemas(proc, int_constants)
+    _collect_schemas(proc)
     _collect_key_specs(proc)
     proc.validating_names = _name_closure(
         proc,
@@ -298,7 +292,7 @@ def derive_procgraph(
 def _collect_call_sites(proc: ProcGraph) -> None:
     project = proc.project
     for site in proc.graph.call_sites:
-        if not proc.scanned(site.source):
+        if not scanned(site.source):
             continue
         chain = site.chain
         module = site.source.module
@@ -333,11 +327,9 @@ def _collect_call_sites(proc: ProcGraph) -> None:
         elif callee == "flush" and len(chain) >= 2:
             proc.flush_sites.append(FlushSite(receiver=receiver, **common))
         elif callee == "Process":
-            target = _keyword_value(site.node, "target")
+            target = keyword_arg(site.node, "target")
             name = target.id if isinstance(target, ast.Name) else None
-            resolved = (
-                _resolve_function(proc, module, name) if name else None
-            )
+            resolved = proc.graph.resolve_name(module, name) if name else None
             proc.fork_sites.append(
                 ForkSite(
                     kind="spawn",
@@ -359,9 +351,7 @@ def _collect_call_sites(proc: ProcGraph) -> None:
         elif callee == "signal" and receiver == "signal":
             handler = site.node.args[1] if len(site.node.args) >= 2 else None
             name = handler.id if isinstance(handler, ast.Name) else None
-            resolved = (
-                _resolve_function(proc, module, name) if name else None
-            )
+            resolved = proc.graph.resolve_name(module, name) if name else None
             proc.signal_sites.append(
                 SignalSite(
                     handler=name,
@@ -386,66 +376,15 @@ def _serializer_pair(
     return pair if pair in SERIALIZER_CALLS else None
 
 
-def _resolve_function(
-    proc: ProcGraph, module: str, name: str
-) -> Optional[FunctionInfo]:
-    """Resolve a bare name to a function definition (local or imported)."""
-    direct = proc.graph.functions.get((module, name))
-    if direct is not None:
-        return direct
-    link = proc.project.imported_names.get((module, name))
-    if link is not None:
-        return proc.graph.functions.get(link)
-    return None
-
-
-def _keyword_value(node: ast.Call, keyword: str) -> Optional[ast.expr]:
-    for entry in node.keywords:
-        if entry.arg == keyword:
-            return entry.value
-    return None
-
-
 # -- wire-schema extraction ----------------------------------------------------
 
 
-def _module_int_constants(
-    project: Project, proc: ProcGraph
-) -> Dict[Tuple[str, str], Tuple[int, int]]:
-    """(module, NAME) -> (int value, line) for module-level int consts."""
-    constants: Dict[Tuple[str, str], Tuple[int, int]] = {}
-    for source in project.files:
-        if not proc.scanned(source):
-            continue
-        for statement in source.tree.body:
-            if not isinstance(statement, ast.Assign):
-                continue
-            value = statement.value
-            if not (
-                isinstance(value, ast.Constant)
-                and isinstance(value.value, int)
-                and not isinstance(value.value, bool)
-            ):
-                continue
-            for target in statement.targets:
-                if isinstance(target, ast.Name):
-                    constants[(source.module, target.id)] = (
-                        value.value,
-                        statement.lineno,
-                    )
-    return constants
-
-
-def _collect_schemas(
-    proc: ProcGraph, int_constants: Dict[Tuple[str, str], Tuple[int, int]]
-) -> None:
+def _collect_schemas(proc: ProcGraph) -> None:
     ordered = [proc.graph.functions[key] for key in sorted(proc.graph.functions)]
-    scanned = [
-        info for info in ordered if proc.scanned(info.source)
-    ]
+    in_scope = [info for info in ordered if scanned(info.source)]
     # Pass 1: writers anchor the groups (a group exists once anything in
     # the module emits a versioned record).
-    for info in scanned:
+    for info in in_scope:
         writer_keys, version_expr = _writer_keys(info.node)
         if not writer_keys:
             continue
@@ -462,17 +401,17 @@ def _collect_schemas(
             )
         )
         if group.version is None and version_expr is not None:
-            group.version = _resolve_int(
-                proc.project, int_constants, info.module, version_expr
+            group.version = _static_int(
+                proc.project, info.module, version_expr
             )
     # Pass 2: readers attach to an existing group (or a module carrying
     # a ``*_VERSION`` constant) — separate passes so source order of the
     # reader and writer definitions cannot matter.
-    for info in scanned:
+    for info in in_scope:
         if not info.name.lstrip("_").startswith(READER_NAME_PREFIXES):
             continue
         if info.module not in proc.schema_groups and not _module_version(
-            int_constants, info.module
+            proc.project, info.module
         ):
             continue
         reader_keys = _reader_keys(info.node)
@@ -492,7 +431,7 @@ def _collect_schemas(
         )
     # Stamp explicit version constants (they win over inline literals).
     for module, group in proc.schema_groups.items():
-        versioned = _module_version(int_constants, module)
+        versioned = _module_version(proc.project, module)
         if versioned is not None:
             name, (value, line) = versioned
             group.version = value
@@ -509,38 +448,23 @@ def _group_for(proc: ProcGraph, module: str, path: str) -> SchemaGroup:
 
 
 def _module_version(
-    int_constants: Dict[Tuple[str, str], Tuple[int, int]], module: str
+    project: Project, module: str
 ) -> Optional[Tuple[str, Tuple[int, int]]]:
     """The module's ``*_VERSION`` constant ``(name, (value, line))``."""
     candidates = sorted(
         (name, entry)
-        for (mod, name), entry in int_constants.items()
+        for (mod, name), entry in project.int_constants.items()
         if mod == module and name.endswith("_VERSION")
     )
     return candidates[0] if candidates else None
 
 
-def _resolve_int(
-    project: Project,
-    int_constants: Dict[Tuple[str, str], Tuple[int, int]],
-    module: str,
-    expr: ast.expr,
-    _depth: int = 0,
-) -> Optional[int]:
+def _static_int(project: Project, module: str, expr: ast.expr) -> Optional[int]:
     """An int expression's static value (literal or imported constant)."""
-    if _depth > 4:
-        return None
     if isinstance(expr, ast.Constant) and isinstance(expr.value, int):
         return expr.value
     if isinstance(expr, ast.Name):
-        direct = int_constants.get((module, expr.id))
-        if direct is not None:
-            return direct[0]
-        link = project.imported_names.get((module, expr.id))
-        if link is not None:
-            entry = int_constants.get(link)
-            if entry is not None:
-                return entry[0]
+        return project.resolve_int(module, expr.id)
     return None
 
 
@@ -655,7 +579,7 @@ def _membership_loop_keys(node: ast.For) -> Set[str]:
 def _collect_key_specs(proc: ProcGraph) -> None:
     for key in sorted(proc.graph.functions):
         info = proc.graph.functions[key]
-        if not proc.scanned(info.source):
+        if not scanned(info.source):
             continue
         if "dedup_key" in info.name or "content_key" in info.name:
             kind = "dedup"
@@ -706,7 +630,7 @@ def _name_closure(proc: ProcGraph, seed_names: Set[str]) -> Set[str]:
     """
     called_by_function: Dict[Tuple[str, str], Set[str]] = {}
     for site in proc.graph.call_sites:
-        if site.caller is None or not proc.scanned(site.source):
+        if site.caller is None or not scanned(site.source):
             continue
         called_by_function.setdefault(site.caller.key, set()).add(
             site.chain[-1]

@@ -6,7 +6,9 @@ graph, and cross-module constant resolution (so a rule seeing
 ``bus.publish(ALERT_TOPIC)`` can learn the topic string even though the
 constant lives in another file).
 
-Parsing happens once per run; every rule shares the same trees.
+Parsing happens once per run; every rule shares the same trees, and
+the whole-program layers built from them (the call graph and the flow,
+state and proc views) are memoized on the project by :meth:`Project.layer`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,18 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -68,6 +81,14 @@ class Project:
     #: (module, name) -> module-level tuple/list of string constants.
     str_tuple_constants: Dict[Tuple[str, str], Tuple[str, ...]] = field(
         default_factory=dict
+    )
+    #: (module, name) -> (value, line) of a module-level int constant.
+    int_constants: Dict[Tuple[str, str], Tuple[int, int]] = field(
+        default_factory=dict
+    )
+    #: name -> whole-program layer built from this project (:meth:`layer`).
+    layers: Dict[str, object] = field(
+        default_factory=dict, init=False, repr=False
     )
 
     # -- loading ---------------------------------------------------------------
@@ -184,6 +205,12 @@ class Project:
         if isinstance(value, ast.Constant) and isinstance(value.value, str):
             for name in names:
                 self.str_constants[(module, name)] = value.value
+        elif isinstance(value, ast.Constant) and type(value.value) is int:
+            for name in names:
+                self.int_constants[(module, name)] = (
+                    value.value,
+                    statement.lineno,
+                )
         elif isinstance(value, (ast.Tuple, ast.List)):
             elements = []
             for element in value.elts:
@@ -217,31 +244,40 @@ class Project:
 
     # -- queries ---------------------------------------------------------------
 
-    def resolve_str(self, module: str, name: str, _depth: int = 0) -> Optional[str]:
-        """A name's module-level string-constant value, following imports."""
-        if _depth > 8:
-            return None
-        direct = self.str_constants.get((module, name))
-        if direct is not None:
-            return direct
-        link = self.imported_names.get((module, name))
-        if link is not None:
-            return self.resolve_str(link[0], link[1], _depth + 1)
+    def layer(self, name: str, build: Callable[["Project"], T]) -> T:
+        """The named whole-program layer, built by ``build(self)`` once."""
+        if name not in self.layers:
+            self.layers[name] = build(self)
+        return self.layers[name]  # type: ignore[return-value]
+
+    def _resolve(
+        self, table: Dict[Tuple[str, str], T], module: str, name: str
+    ) -> Optional[T]:
+        """A name's module-level constant in ``table``, following imports."""
+        for _ in range(9):
+            value = table.get((module, name))
+            if value is not None:
+                return value
+            link = self.imported_names.get((module, name))
+            if link is None:
+                return None
+            module, name = link
         return None
 
+    def resolve_str(self, module: str, name: str) -> Optional[str]:
+        """A name's module-level string-constant value, following imports."""
+        return self._resolve(self.str_constants, module, name)
+
     def resolve_str_tuple(
-        self, module: str, name: str, _depth: int = 0
+        self, module: str, name: str
     ) -> Optional[Tuple[str, ...]]:
         """A name's tuple-of-strings constant value, following imports."""
-        if _depth > 8:
-            return None
-        direct = self.str_tuple_constants.get((module, name))
-        if direct is not None:
-            return direct
-        link = self.imported_names.get((module, name))
-        if link is not None:
-            return self.resolve_str_tuple(link[0], link[1], _depth + 1)
-        return None
+        return self._resolve(self.str_tuple_constants, module, name)
+
+    def resolve_int(self, module: str, name: str) -> Optional[int]:
+        """A name's module-level int-constant value, following imports."""
+        entry = self._resolve(self.int_constants, module, name)
+        return entry[0] if entry is not None else None
 
     def resolve_module(self, module: str, name: str) -> Optional[str]:
         """The project-internal module a local name is bound to, if any."""

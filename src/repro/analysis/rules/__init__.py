@@ -12,13 +12,11 @@ from repro.analysis.rules import (  # noqa: F401  (imports register rules)
     determinism,
     flows,
     imports,
-    labels,
     packets,
     prints,
     state,
     swallows,
     taint,
-    topics,
 )
 
 __all__ = [
@@ -27,11 +25,9 @@ __all__ = [
     "determinism",
     "flows",
     "imports",
-    "labels",
     "packets",
     "prints",
     "state",
     "swallows",
     "taint",
-    "topics",
 ]

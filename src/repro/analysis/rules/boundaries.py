@@ -41,19 +41,18 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph
+from repro.analysis.astutil import attribute_chain, keyword_arg
+from repro.analysis.callgraph import scanned
 from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.project import Project
 from repro.analysis.procgraph import (
-    ProcGraph,
     STOP_REQUEST_NAMES,
+    ProcGraph,
     derive_procgraph,
-    _keyword_value,
 )
+from repro.analysis.project import Project
 from repro.analysis.stategraph import (
     NON_PICKLABLE_CONSTRUCTORS,
-    _chain_of,
     _single_assignment_locals,
 )
 
@@ -64,20 +63,6 @@ TELEMETRY_CONSTRUCTORS = frozenset({"Telemetry", "FlightRecorder"})
 _DUMP_CALLEES = frozenset({"dumps", "dump"})
 
 
-def shared_procgraph(project: Project) -> ProcGraph:
-    """Build (and memoize on the project) the process-boundary graph."""
-    cached = getattr(project, "_procgraph_cache", None)
-    if cached is not None:
-        return cached
-    graph = getattr(project, "_callgraph_cache", None)
-    if graph is None:
-        graph = CallGraph.build(project)
-        project._callgraph_cache = graph  # type: ignore[attr-defined]
-    proc = derive_procgraph(project, graph)
-    project._procgraph_cache = proc  # type: ignore[attr-defined]
-    return proc
-
-
 @register_rule
 class SchemaDriftRule(Rule):
     """KL301: wire readers stay within the written field set."""
@@ -86,7 +71,7 @@ class SchemaDriftRule(Rule):
     TITLE = "boundary: writer/reader wire-schema drift"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        proc = shared_procgraph(project)
+        proc = derive_procgraph(project)
         for module in sorted(proc.schema_groups):
             group = proc.schema_groups[module]
             if not group.writers:
@@ -128,7 +113,7 @@ class AddressFreePayloadRule(Rule):
     TITLE = "boundary: non-address-free payload crosses a boundary"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        proc = shared_procgraph(project)
+        proc = derive_procgraph(project)
         # Payload roots overlap (a dict passed to dumps() is walked as
         # both), so findings dedupe on their (path, line, key) identity.
         seen: Set[Tuple[str, int, str]] = set()
@@ -264,7 +249,7 @@ class ForkSafetyRule(Rule):
     TITLE = "boundary: fork-unsafe state passed to a process entrypoint"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        proc = shared_procgraph(project)
+        proc = derive_procgraph(project)
         for site in proc.fork_sites:
             if site.kind != "spawn" or site.node is None:
                 continue
@@ -274,7 +259,7 @@ class ForkSafetyRule(Rule):
             if caller is None:
                 continue
             locals_map = _single_assignment_locals(caller.node)
-            arguments = _keyword_value(site.node, "args")
+            arguments = keyword_arg(site.node, "args")
             if not isinstance(arguments, (ast.Tuple, ast.List)):
                 continue
             for element in arguments.elts:
@@ -283,7 +268,7 @@ class ForkSafetyRule(Rule):
                 value = locals_map.get(element.id)
                 if not isinstance(value, ast.Call):
                     continue
-                chain = _chain_of(value.func)
+                chain = attribute_chain(value.func)
                 constructor = chain[-1] if chain else ""
                 if (
                     constructor in NON_PICKLABLE_CONSTRUCTORS
@@ -321,7 +306,7 @@ class QueueDisciplineRule(Rule):
     TITLE = "boundary: queue crossing without durability/validation"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        proc = shared_procgraph(project)
+        proc = derive_procgraph(project)
         flush_lines: Dict[Tuple[str, Optional[str]], List[int]] = {}
         for flush in proc.flush_sites:
             flush_lines.setdefault((flush.module, flush.function), []).append(
@@ -366,7 +351,7 @@ class ExitHygieneRule(Rule):
     TITLE = "boundary: exit path skips durable flush"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        proc = shared_procgraph(project)
+        proc = derive_procgraph(project)
         calls = self._calls_by_function(proc)
         for site in proc.exit_sites:
             owner = site.function or "<module>"
@@ -410,7 +395,7 @@ class ExitHygieneRule(Rule):
     ) -> Dict[Tuple[str, str], List[Tuple[int, str]]]:
         calls: Dict[Tuple[str, str], List[Tuple[int, str]]] = {}
         for site in proc.graph.call_sites:
-            if site.caller is None or not proc.scanned(site.source):
+            if site.caller is None or not scanned(site.source):
                 continue
             calls.setdefault(
                 (site.caller.module, site.caller.qualname), []
@@ -426,7 +411,7 @@ class DedupCompletenessRule(Rule):
     TITLE = "boundary: sort-key field missing from dedup/content key"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        proc = shared_procgraph(project)
+        proc = derive_procgraph(project)
         by_module: Dict[str, List] = {}
         for spec in proc.key_specs:
             by_module.setdefault(spec.module, []).append(spec)

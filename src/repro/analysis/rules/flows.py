@@ -1,18 +1,18 @@
 """KL101–KL104 — whole-program knowledge-flow and topic liveness.
 
-These rules are the whole-program counterparts of the per-file KL003 and
-KL005 passes: they run on the :mod:`repro.analysis.knowflow` graph, so
-sites hidden behind wrappers (``ModuleSupervisor._publish``,
+These rules run on the :mod:`repro.analysis.knowflow` graph, so sites
+hidden behind wrappers (``ModuleSupervisor._publish``,
 ``TrafficStatsModule._publish_rate``) and single-assignment locals are
 resolved before liveness is judged.
 
 - **KL101** — knowgget read-before-any-write: a defaultless
-  ``Requirement`` label or ``kb.get``/``get_knowgget`` read that no code
-  ever puts.  A ``default=`` on either names what an absent knowgget
-  means, so it may legitimately never be written.
-  The module can never activate (paper §IV-B4): "no alerts" and "module
-  never activated" look identical at runtime, so this must be static.
-  Config-driven ``put_static`` injection is an operator override, not a
+  ``Requirement`` label or Knowledge Base read (``get``,
+  ``get_knowgget``, ``with_label``, ``subscribe``, ``sublabels``) that
+  no code ever puts.  Such a module can never activate (paper §IV-B4),
+  and such a read is usually a typo: "no alerts" and "module never
+  activated" look identical at runtime, so this must be static.  A
+  ``default=`` names what an absent knowgget means, so a defaulted
+  read may legitimately never be written.  Config-driven ``put_static`` injection is an operator override, not a
   liveness guarantee, so a dynamic ``put_static`` does *not* silence the
   rule — only a fully-dynamic ``put`` does.
 - **KL102** — dead knowledge: a write pattern no read or Requirement
@@ -21,8 +21,9 @@ resolved before liveness is judged.
 - **KL103** — orphan bus topic: a publication with no overlapping
   subscription (WARNING — may be an intentional operational surface) or
   a subscription with no overlapping publication (ERROR — the handler
-  can never fire).  Unlike KL005, wrapper-derived publish sites count,
-  so ``self._publish(TOPIC_MODULE_RESTORE, …)`` is not a blind spot.
+  can never fire).  Wrapper-derived publish sites count, so
+  ``self._publish(TOPIC_MODULE_RESTORE, …)`` is not a blind spot, and
+  ``KnowledgeBase.subscribe`` (which takes a label) is not a topic.
 - **KL104** — module contract drift: a detection module whose code
   strictly reads (``get``/``get_knowgget`` without ``default=``) a
   knowgget its ``REQUIREMENTS`` never declare and the module itself
@@ -41,10 +42,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Set
 
 from repro.analysis.astutil import patterns_overlap
-from repro.analysis.callgraph import CallGraph
 from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.knowflow import FlowSite, KnowFlow, derive_knowflow
+from repro.analysis.knowflow import FlowSite, derive_knowflow
 from repro.analysis.project import Project
 
 #: Topic prefixes whose families are deliberately open-ended: knowledge
@@ -59,29 +59,15 @@ DYNAMIC_TOPIC_ALLOWLIST = ("knowledge.",)
 _STRICT_READS = frozenset({"get", "get_knowgget"})
 
 
-def _shared_flow(project: Project) -> KnowFlow:
-    """Build (and memoize on the project) the whole-program flow."""
-    cached = getattr(project, "_knowflow_cache", None)
-    if cached is not None:
-        return cached
-    graph = getattr(project, "_callgraph_cache", None)
-    if graph is None:
-        graph = CallGraph.build(project)
-        project._callgraph_cache = graph  # type: ignore[attr-defined]
-    flow = derive_knowflow(project, graph)
-    project._knowflow_cache = flow  # type: ignore[attr-defined]
-    return flow
-
-
 @register_rule
 class KnowggetLivenessRule(Rule):
-    """KL101: every required/strictly-read knowgget has a writer."""
+    """KL101: every required or default-less-read knowgget has a writer."""
 
     ID = "KL101"
     TITLE = "whole-program: required knowggets must have a writer"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        flow = _shared_flow(project)
+        flow = derive_knowflow(project)
         # A fully-dynamic ``put`` could write any label; stay quiet
         # rather than guess wrong.  (``put_static`` injection from
         # config deliberately does not count — see module docstring.)
@@ -93,21 +79,17 @@ class KnowggetLivenessRule(Rule):
         reported: Set[str] = set()
         for site in flow.reads:
             kind, label = site.pattern
-            if kind != "exact" or label is None:
+            if kind != "exact" or label is None or site.has_default:
                 continue
-            strict = not site.has_default and (
-                site.via == "requirement" or site.via in _STRICT_READS
-            )
-            if not strict or flow.written(label):
-                continue
-            if label in reported:
+            if flow.written(label) or label in reported:
                 continue
             reported.add(label)
-            what = (
-                f"Requirement of {site.owner}"
-                if site.via == "requirement"
-                else f"strict {site.via} read"
-            )
+            if site.via == "requirement":
+                what = f"Requirement of {site.owner}"
+            elif site.via in _STRICT_READS:
+                what = f"strict {site.via} read"
+            else:
+                what = f"{site.via} read"
             yield self.finding(
                 Severity.ERROR,
                 site.path,
@@ -127,7 +109,7 @@ class DeadKnowledgeRule(Rule):
     TITLE = "whole-program: written knowggets must be read somewhere"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        flow = _shared_flow(project)
+        flow = derive_knowflow(project)
         reported: Set[str] = set()
         for site in flow.writes:
             kind, value = site.pattern
@@ -165,7 +147,7 @@ class OrphanTopicRule(Rule):
     TITLE = "whole-program: no orphan bus topics"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        flow = _shared_flow(project)
+        flow = derive_knowflow(project)
         has_dynamic_publish = flow.has_dynamic_publish()
         has_dynamic_subscribe = any(
             site.pattern[0] == "dynamic" for site in flow.subscribes
@@ -243,7 +225,7 @@ class ContractDriftRule(Rule):
     TITLE = "whole-program: module reads match declared Requirements"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        flow = _shared_flow(project)
+        flow = derive_knowflow(project)
         contracts = flow.requirement_labels
         writes_by_owner: Dict[str, List[FlowSite]] = {}
         for site in flow.writes:

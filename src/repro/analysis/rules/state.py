@@ -37,7 +37,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph
+from repro.analysis.astutil import attribute_chain
+from repro.analysis.callgraph import scanned
 from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.project import Project, SourceFile
@@ -46,37 +47,16 @@ from repro.analysis.stategraph import (
     MUTABLE_FACTORY_NAMES,
     RNG_CONSTRUCTORS,
     StateGraph,
-    derive_stategraph,
-    _chain_of,
     _is_mutable_literal,
+    derive_stategraph,
 )
 
 #: The one module allowed to touch raw randomness primitives.
 RNG_HOME_MODULE = "repro.util.rng"
 
-#: Chains whose first segment resolving to one of these modules marks a
-#: raw-randomness use.
+#: A call whose resolved target is one of these modules, or lies under
+#: one, is a raw-randomness use.
 RAW_RNG_MODULES = frozenset({"random", "numpy.random"})
-
-
-def shared_stategraph(project: Project) -> StateGraph:
-    """Build (and memoize on the project) the whole-program state graph."""
-    cached = getattr(project, "_stategraph_cache", None)
-    if cached is not None:
-        return cached
-    graph = getattr(project, "_callgraph_cache", None)
-    if graph is None:
-        graph = CallGraph.build(project)
-        project._callgraph_cache = graph  # type: ignore[attr-defined]
-    state = derive_stategraph(project, graph)
-    project._stategraph_cache = state  # type: ignore[attr-defined]
-    return state
-
-
-def _scanned_files(state: StateGraph) -> Iterable[SourceFile]:
-    for source in state.project.files:
-        if state.scanned(source):
-            yield source
 
 
 @register_rule
@@ -87,7 +67,7 @@ class HiddenMutableStateRule(Rule):
     TITLE = "state: hidden module/class-level mutable state"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        state = shared_stategraph(project)
+        state = derive_stategraph(project)
         for entry in state.module_globals:
             if not entry.mutated_lines:
                 continue
@@ -128,7 +108,7 @@ class NonPicklableStateRule(Rule):
     TITLE = "state: non-picklable state reachable from a checkpoint root"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        state = shared_stategraph(project)
+        state = derive_stategraph(project)
         for class_state in state.reachable_classes():
             if class_state.has_pickle_hook():
                 continue
@@ -157,15 +137,14 @@ class RngProvenanceRule(Rule):
     TITLE = "state: RNG constructed outside util.rng seed derivation"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        state = shared_stategraph(project)
-        for source in _scanned_files(state):
-            if source.module == RNG_HOME_MODULE:
+        for source in project.files:
+            if not scanned(source) or source.module == RNG_HOME_MODULE:
                 continue
             exempt_lines = _injectable_default_lines(source.tree)
             for node in ast.walk(source.tree):
                 if not isinstance(node, ast.Call):
                     continue
-                chain = _chain_of(node.func)
+                chain = attribute_chain(node.func)
                 if chain is None:
                     continue
                 raw = self._raw_rng_chain(project, source, chain)
@@ -199,26 +178,24 @@ class RngProvenanceRule(Rule):
 
     @staticmethod
     def _raw_rng_chain(
-        project: Project, source: SourceFile, chain: Tuple[str, ...]
+        project: Project, source: SourceFile, chain: List[str]
     ) -> Optional[str]:
-        """The dotted chain when it is a raw random/np.random call."""
-        if len(chain) < 2:
-            return None
+        """The chain as written when the call lands in random/np.random.
+
+        The head resolves through module aliases (``import numpy.random
+        as npr``) and imported names (``from random import shuffle``).
+        """
         head = chain[0]
-        resolved = project.resolve_module(source.module, head)
-        if resolved is None:
+        target = project.resolve_module(source.module, head)
+        if target is None:
             link = project.imported_names.get((source.module, head))
-            if link is not None and link[1] == "":
-                resolved = link[0]
-        module = resolved or head
-        dotted = ".".join(chain)
-        if module == "random" or dotted.startswith("random."):
-            return dotted
-        if (
-            module in {"numpy", "np"}
-            or head in {"np", "numpy"}
-        ) and len(chain) >= 3 and chain[1] == "random":
-            return dotted
+            target = ".".join(link) if link is not None else head
+        resolved = ".".join([target, *chain[1:]])
+        if any(
+            resolved == module or resolved.startswith(module + ".")
+            for module in RAW_RNG_MODULES
+        ):
+            return ".".join(chain)
         return None
 
 
@@ -256,7 +233,7 @@ class StaleCacheRule(Rule):
     TITLE = "state: derived cache mutated in place without a rebuild hook"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        state = shared_stategraph(project)
+        state = derive_stategraph(project)
         for class_state in state.reachable_classes():
             for name in sorted(class_state.fields):
                 field = class_state.fields[name]
@@ -287,7 +264,7 @@ class CrossShardAliasRule(Rule):
     SHARED_OK_NAMES = frozenset({"telemetry", "clock"})
 
     def check(self, project: Project) -> Iterable[Finding]:
-        state = shared_stategraph(project)
+        state = derive_stategraph(project)
         yield from self._aliased_constructor_args(state)
         yield from self._mutable_default_params(state)
 
@@ -362,7 +339,7 @@ class CrossShardAliasRule(Rule):
         if _is_mutable_literal(value):
             return True
         if isinstance(value, ast.Call):
-            chain = _chain_of(value.func)
+            chain = attribute_chain(value.func)
             if chain is None:
                 return False
             callee = chain[-1]
@@ -391,7 +368,7 @@ class CrossShardAliasRule(Rule):
                             default, (ast.List, ast.Dict, ast.Set)
                         ) or (
                             isinstance(default, ast.Call)
-                            and (_chain_of(default.func) or ["?"])[-1]
+                            and (attribute_chain(default.func) or ["?"])[-1]
                             in MUTABLE_FACTORY_NAMES
                         ):
                             yield self.finding(

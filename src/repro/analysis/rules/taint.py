@@ -28,6 +28,7 @@ import ast
 from typing import Iterable, Iterator, List, Optional, Set
 
 from repro.analysis.astutil import attribute_chain
+from repro.analysis.callgraph import KB_RECEIVERS, KB_WRITE_METHODS
 from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.project import Project, SourceFile
@@ -57,8 +58,6 @@ _TIME_ATTRS = frozenset(
     }
 )
 _DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
-_KB_RECEIVERS = frozenset({"kb", "_kb"})
-_KB_WRITES = frozenset({"put", "put_static"})
 
 
 def _source_of(node: ast.AST) -> Optional[str]:
@@ -210,7 +209,7 @@ class DeterminismTaintRule(Rule):
             receiver == "bus" or receiver.endswith("bus")
         ):
             return "a bus publish"
-        if method in _KB_WRITES and receiver in _KB_RECEIVERS:
+        if method in KB_WRITE_METHODS and receiver in KB_RECEIVERS:
             return "a knowledge write"
         return None
 

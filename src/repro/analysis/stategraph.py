@@ -40,11 +40,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, ClassInfo, FunctionInfo
+from repro.analysis.astutil import attribute_chain
+from repro.analysis.callgraph import CallGraph, ClassInfo, FunctionInfo, scanned
 from repro.analysis.project import Project, SourceFile
-
-#: Packages the graph never scans (mirrors knowflow).
-EXCLUDED_PACKAGES = ("repro.analysis", "repro.taxonomy")
 
 #: Class names whose instances are snapshotted by the checkpoint/restore
 #: service mode (ROADMAP items 1 and 5).  Everything reachable from one
@@ -262,9 +260,6 @@ class StateGraph:
     #: subclass edges: base name -> subclass names.
     children: Dict[str, Set[str]] = field(default_factory=dict)
 
-    def scanned(self, source: SourceFile) -> bool:
-        return not any(source.in_package(pkg) for pkg in EXCLUDED_PACKAGES)
-
     def reachable_classes(self) -> List[ClassState]:
         return [
             self.classes[key]
@@ -284,17 +279,18 @@ class StateGraph:
         return {entry.attr for entry in self.injected_attrs}
 
 
-def derive_stategraph(
-    project: Project, graph: Optional[CallGraph] = None
-) -> StateGraph:
-    """Build the whole-program state graph for a parsed project."""
-    if graph is None:
-        graph = CallGraph.build(project)
+def derive_stategraph(project: Project) -> StateGraph:
+    """The whole-program state graph of a project, built once."""
+    return project.layer("state", _build_stategraph)
+
+
+def _build_stategraph(project: Project) -> StateGraph:
+    graph = CallGraph.of(project)
     state = StateGraph(project=project, graph=graph)
     for class_infos in graph.classes.values():
         for info in class_infos:
             source = project.by_module.get(info.module)
-            if source is None or not state.scanned(source):
+            if source is None or not scanned(source):
                 continue
             class_state = _scan_class(source, info, graph)
             state.classes[class_state.key] = class_state
@@ -302,7 +298,7 @@ def derive_stategraph(
             for base in class_state.bases:
                 state.children.setdefault(base, set()).add(class_state.name)
     for source in project.files:
-        if not state.scanned(source):
+        if not scanned(source):
             continue
         _scan_module_globals(source, state)
         _record_global_mutations(source, project, state)
@@ -418,7 +414,7 @@ def _scan_method(state: ClassState, method: FunctionInfo) -> None:
                     if is_hook:
                         hook_refs.add(mutated)
         elif isinstance(node, ast.Call):
-            chain = _chain_of(node.func)
+            chain = attribute_chain(node.func)
             if (
                 chain is not None
                 and len(chain) == 3
@@ -429,7 +425,7 @@ def _scan_method(state: ClassState, method: FunctionInfo) -> None:
                 if is_hook:
                     hook_refs.add(chain[1])
         if is_hook and isinstance(node, ast.Attribute):
-            attr_chain = _chain_of(node)
+            attr_chain = attribute_chain(node)
             if attr_chain and attr_chain[0] == "self" and len(attr_chain) >= 2:
                 hook_refs.add(attr_chain[1])
     if is_hook:
@@ -523,7 +519,7 @@ def _classify_resolved(
             entry.origin = "param"
         return
     if isinstance(value, ast.Call):
-        chain = _chain_of(value.func)
+        chain = attribute_chain(value.func)
         if chain is None:
             return
         entry.origin = "new"
@@ -647,7 +643,7 @@ def _record_global_mutations(
                 ):
                     record(target.value.id, node.lineno)
         elif isinstance(node, ast.Call):
-            chain = _chain_of(node.func)
+            chain = attribute_chain(node.func)
             if (
                 chain is not None
                 and len(chain) == 2
@@ -689,7 +685,7 @@ def _record_injected_attrs(source: SourceFile, state: StateGraph) -> None:
 def _collect_root_calls(state: StateGraph) -> None:
     root_names = _shard_root_names(state)
     for site in state.graph.call_sites:
-        if not state.scanned(site.source):
+        if not scanned(site.source):
             continue
         callee = site.chain[-1]
         if callee not in root_names:
@@ -769,19 +765,6 @@ def _subscript_attribute(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _chain_of(node: ast.AST) -> Optional[List[str]]:
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        parts.reverse()
-        return parts
-    return None
-
-
 def _string_elements(node: ast.expr) -> Tuple[str, ...]:
     if isinstance(node, (ast.Tuple, ast.List)):
         return tuple(
@@ -816,7 +799,7 @@ def _is_mutable_literal(node: ast.expr) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        chain = _chain_of(node.func)
+        chain = attribute_chain(node.func)
         return chain is not None and chain[-1] in MUTABLE_FACTORY_NAMES
     return False
 

@@ -213,11 +213,6 @@ class HashedBlock:
             )
         return self._words
 
-    def draws(self, index: int) -> HashedDraws:
-        """The scalar draw budget for row ``index`` (same digest bytes)."""
-        start = index * DIGEST_BYTES
-        return HashedDraws(self.digests[start : start + DIGEST_BYTES])
-
     def uniforms(
         self, draw_index: int, low: float = 0.0, high: float = 1.0
     ) -> np.ndarray:

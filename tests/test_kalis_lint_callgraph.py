@@ -2,8 +2,13 @@
 project-model resolution hardening that backs it."""
 
 import textwrap
+from collections import Counter
+
+import pytest
 
 from repro.analysis.callgraph import CallGraph
+from repro.analysis.cli import main
+from repro.analysis.engine import run_rules
 from repro.analysis.project import Project
 
 
@@ -311,3 +316,55 @@ class TestCallGraph:
         )
         graph = CallGraph.build(project)
         assert ("repro.mod", "Sensor._emit") not in graph.wrappers
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count call-graph constructions and memoized layer builds."""
+    counts = Counter()
+    build_graph = CallGraph.build
+    layer = Project.layer
+
+    def counting_build(project):
+        counts["CallGraph.build"] += 1
+        return build_graph(project)
+
+    def counting_layer(self, name, build):
+        def counted(project):
+            counts[name] += 1
+            return build(project)
+
+        return layer(self, name, counted)
+
+    monkeypatch.setattr(CallGraph, "build", staticmethod(counting_build))
+    monkeypatch.setattr(Project, "layer", counting_layer)
+    return counts
+
+
+class TestLayersBuiltOnce:
+    FILES = {
+        "repro/core/feeder.py": """
+        class Feeder:
+            def go(self):
+                self.kb.put("Written", 1)
+        """,
+    }
+
+    def test_full_run_builds_each_layer_once(self, tmp_path, builds):
+        run_rules(make_project(tmp_path, self.FILES))
+        assert builds == {
+            "CallGraph.build": 1,
+            "callgraph": 1,
+            "flow": 1,
+            "state": 1,
+            "proc": 1,
+        }
+
+    def test_state_export_builds_only_the_state_layer(
+        self, tmp_path, builds, capsys
+    ):
+        make_project(tmp_path, self.FILES)
+        tree = str(tmp_path / "src" / "repro")
+        assert main(["graph", "--view", "state", "--root", str(tmp_path), tree]) == 0
+        capsys.readouterr()
+        assert builds == {"CallGraph.build": 1, "callgraph": 1, "state": 1}

@@ -36,12 +36,15 @@ def write_tree(tmp_path, files):
 class TestFlags:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("KL001", "KL002", "KL003", "KL004", "KL005", "KL006"):
-            assert rule_id in out
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        for rule_id in ("KL001", "KL002", "KL004", "KL006", "KL007", "KL008"):
+            assert rule_id in listed
         # Whole-program rules ride the same registry.
         for rule_id in ("KL101", "KL102", "KL103", "KL104", "KL105"):
-            assert rule_id in out
+            assert rule_id in listed
+        # The per-tree label and topic passes gave way to KL101–KL103.
+        assert "KL003" not in listed and "KL005" not in listed
+        assert len(listed) == 22
 
     def test_select_unknown_rule_is_usage_error(self, tmp_path, capsys):
         tree = write_tree(tmp_path, _DIRTY_TREE)
@@ -103,7 +106,7 @@ class TestFlags:
 
 
 class TestDottedConstantResolution:
-    """KL005 resolves dotted constant references (``consts.TOPIC``)."""
+    """KL103 resolves dotted constant references (``consts.TOPIC``)."""
 
     def _tree(self, tmp_path, topic):
         return write_tree(
@@ -131,7 +134,7 @@ class TestDottedConstantResolution:
         code = main(
             [
                 "--root", str(tmp_path), "--no-baseline",
-                "--select", "KL005", str(tree),
+                "--select", "KL103", str(tree),
             ]
         )
         out = capsys.readouterr().out
@@ -145,7 +148,7 @@ class TestDottedConstantResolution:
         code = main(
             [
                 "--root", str(tmp_path), "--no-baseline",
-                "--select", "KL005", str(tree),
+                "--select", "KL103", str(tree),
             ]
         )
         assert code == 0

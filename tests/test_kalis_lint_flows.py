@@ -143,6 +143,68 @@ class TestKL101KnowggetLiveness:
         """
         assert run(tmp_path, files, "KL101") == []
 
+    def test_fstring_prefix_write_satisfies_exact_requirement(self, tmp_path):
+        """``put(f"Multihop.{medium}")`` writes ``Multihop.wifi``."""
+        files = {
+            "repro/core/modules/detection/ghost.py": """
+            from repro.core.modules.base import Requirement
+
+            class GhostModule:
+                REQUIREMENTS = (Requirement(label="Multihop.wifi"),)
+            """,
+            "repro/core/modules/sensing/feeder.py": """
+            class Feeder:
+                def go(self, medium):
+                    self.ctx.kb.put(f"Multihop.{medium}", True)
+            """,
+        }
+        assert run(tmp_path, files, "KL101") == []
+
+    def test_tuple_constant_read_checks_each_label(self, tmp_path):
+        findings = run(
+            tmp_path,
+            {
+                "repro/core/freeze.py": """
+                LABELS = ("Multihop", "Mobility")
+
+
+                def freeze(kb):
+                    return [kb.get_knowgget(LABELS)]
+                """,
+            },
+            "KL101",
+        )
+        # Both tuple labels are read; neither is written.
+        assert {f.key for f in findings} == {"Multihop", "Mobility"}
+
+    TOLERANT = {
+        "repro/core/modules/sensing/feeder.py": """
+        class Feeder:
+            def go(self):
+                self.ctx.kb.put("Mobility", 1)
+        """,
+        "repro/core/reader.py": """
+        class Reader:
+            def go(self):
+                return self.kb.with_label("Mobilty")
+        """,
+    }
+
+    def test_tolerant_read_of_unwritten_label_flagged(self, tmp_path):
+        """A typo'd ``with_label`` returns [] forever: no default, no
+        writer, so it is a dead read like a strict one."""
+        findings = run(tmp_path, self.TOLERANT, "KL101")
+        assert [f.key for f in findings] == ["Mobilty"]
+        assert findings[0].severity.value == "error"
+        assert "with_label read" in findings[0].message
+
+    def test_tolerant_read_clean_twin_passes(self, tmp_path):
+        files = dict(self.TOLERANT)
+        files["repro/core/reader.py"] = files["repro/core/reader.py"].replace(
+            "Mobilty", "Mobility"
+        )
+        assert run(tmp_path, files, "KL101") == []
+
 
 class TestKL102DeadKnowledge:
     VIOLATION = {
@@ -246,8 +308,8 @@ class TestKL103OrphanTopics:
         assert run(tmp_path, files, "KL103") == []
 
     def test_wrapper_publish_counts(self, tmp_path):
-        """KL005's blind spot: a publish through a topic-forwarding
-        wrapper still pairs with its subscription here."""
+        """A publish through a topic-forwarding wrapper still pairs with
+        its subscription."""
         files = {
             "repro/core/super.py": """
             TOPIC = "module.event"
@@ -275,6 +337,32 @@ class TestKL103OrphanTopics:
             class Teller:
                 def go(self, key):
                     self.bus.publish("knowledge." + key, 1)
+            """,
+        }
+        assert run(tmp_path, files, "KL103") == []
+
+    def test_called_wrapper_with_runtime_topic_suppresses(self, tmp_path):
+        """A topic wrapper called with a runtime topic could publish
+        anything, so no subscription can be judged orphaned."""
+        files = {
+            "repro/core/wiring.py": """
+            def wire(bus, topic):
+                bus.publish(topic, None)
+                bus.subscribe("anything", print)
+
+
+            def start(bus, config):
+                wire(bus, config["topic"])
+            """,
+        }
+        assert run(tmp_path, files, "KL103") == []
+
+    def test_kb_subscribe_is_not_a_bus_topic(self, tmp_path):
+        """``KnowledgeBase.subscribe`` takes a label, not a topic."""
+        files = {
+            "repro/core/wiring.py": """
+            def wire(kb):
+                kb.subscribe("Mobility", print)
             """,
         }
         assert run(tmp_path, files, "KL103") == []

@@ -120,16 +120,6 @@ class GoodModule(DetectionModule):
         self.threshold = self.param("threshold", 3)
 """
 
-_PRODUCER = """
-class Sensor:
-    \"\"\"Writes Multihop.\"\"\"
-
-    def process(self, kb):
-        \"\"\"Write.\"\"\"
-        kb.put("Multihop", True)
-"""
-
-
 class TestModuleContractRule:
     def test_good_module_is_clean(self, tmp_path):
         findings = run(
@@ -198,84 +188,6 @@ class TestModuleContractRule:
             "LeakyModule.__init__",
             "LeakyModule.params.window",
         }
-
-
-class TestLabelFlowRule:
-    def test_exact_producer_satisfies_requirement(self, tmp_path):
-        findings = run(
-            tmp_path,
-            {
-                "repro/core/modules/detection/good.py": _GOOD_MODULE,
-                "repro/core/modules/sensing/topo.py": _PRODUCER,
-            },
-            "KL003",
-        )
-        assert findings == []
-
-    def test_fstring_prefix_producer_covers_label(self, tmp_path):
-        consumer = _GOOD_MODULE.replace('label="Multihop"', 'label="Multihop.wifi"')
-        producer = _PRODUCER.replace(
-            'kb.put("Multihop", True)', 'kb.put(f"Multihop.{medium}", True)'
-        ).replace("def process(self, kb):", "def process(self, kb, medium=0):")
-        findings = run(
-            tmp_path,
-            {
-                "repro/core/modules/detection/good.py": consumer,
-                "repro/core/modules/sensing/topo.py": producer,
-            },
-            "KL003",
-        )
-        assert findings == []
-
-    def test_unproduced_requirement_is_error(self, tmp_path):
-        findings = run(
-            tmp_path,
-            {"repro/core/modules/detection/good.py": _GOOD_MODULE},
-            "KL003",
-        )
-        assert len(findings) == 1
-        assert findings[0].key == "Multihop"
-        assert findings[0].severity.value == "error"
-        assert "dormant" in findings[0].message
-
-    def test_orphan_producer_is_warning(self, tmp_path):
-        findings = run(
-            tmp_path, {"repro/core/modules/sensing/topo.py": _PRODUCER},
-            "KL003",
-        )
-        assert [f.key for f in findings] == ["Multihop"]
-        assert findings[0].severity.value == "warning"
-
-    def test_orphan_softened_by_constant_reference_elsewhere(self, tmp_path):
-        findings = run(
-            tmp_path,
-            {
-                "repro/core/modules/sensing/topo.py": _PRODUCER,
-                "repro/core/freeze.py": """
-                FREEZABLE = ("Multihop",)
-                """,
-            },
-            "KL003",
-        )
-        assert findings == []
-
-    def test_consumer_via_tuple_constant(self, tmp_path):
-        findings = run(
-            tmp_path,
-            {
-                "repro/core/freeze.py": """
-                LABELS = ("Multihop", "Mobility")
-
-
-                def freeze(kb):
-                    \"\"\"Read every freezable label.\"\"\"
-                    return [kb.get_knowgget(LABELS)]
-                """
-            },
-            "KL003",
-        )
-        # Both tuple labels become consumers; neither is produced.
-        assert {f.key for f in findings} == {"Multihop", "Mobility"}
 
 
 _PACKET_BASE = """
@@ -375,78 +287,6 @@ class TestPacketSchemaRule:
                 "repro/net/packets/codec.py": _CODEC,
             },
             "KL004",
-        )
-        assert findings == []
-
-
-class TestTopicFlowRule:
-    def test_matched_topics_are_clean(self, tmp_path):
-        findings = run(
-            tmp_path,
-            {
-                "repro/core/alerts.py": """
-                ALERT_TOPIC = "alerts"
-                """,
-                "repro/core/wiring.py": """
-                from repro.core.alerts import ALERT_TOPIC
-
-                PREFIX = "knowledge."
-
-
-                def wire(bus, key):
-                    \"\"\"Publish and subscribe consistently.\"\"\"
-                    bus.publish(ALERT_TOPIC, None)
-                    bus.publish(PREFIX + key, None)
-                    bus.subscribe(ALERT_TOPIC, print)
-                    bus.subscribe_prefix(PREFIX, print)
-                """,
-            },
-            "KL005",
-        )
-        assert findings == []
-
-    def test_subscribed_never_published(self, tmp_path):
-        findings = run(
-            tmp_path,
-            {
-                "repro/core/wiring.py": """
-                def wire(bus):
-                    \"\"\"A typo'd subscription.\"\"\"
-                    bus.publish("alerts", None)
-                    bus.subscribe("alert", print)
-                """
-            },
-            "KL005",
-        )
-        assert [f.key for f in findings] == ["alert"]
-        assert findings[0].line == 5
-
-    def test_dynamic_publish_suppresses(self, tmp_path):
-        findings = run(
-            tmp_path,
-            {
-                "repro/core/wiring.py": """
-                def wire(bus, topic):
-                    \"\"\"Dynamic publish makes subscriptions unknowable.\"\"\"
-                    bus.publish(topic, None)
-                    bus.subscribe("anything", print)
-                """
-            },
-            "KL005",
-        )
-        assert findings == []
-
-    def test_kb_subscribe_is_not_a_bus_topic(self, tmp_path):
-        findings = run(
-            tmp_path,
-            {
-                "repro/core/wiring.py": """
-                def wire(kb):
-                    \"\"\"KnowledgeBase.subscribe takes a label, not a topic.\"\"\"
-                    kb.subscribe("Mobility", print)
-                """
-            },
-            "KL005",
         )
         assert findings == []
 

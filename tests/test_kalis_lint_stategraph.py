@@ -3,6 +3,8 @@
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.census import run_census
 from repro.analysis.cli import main
 from repro.analysis.engine import run_rules
@@ -196,6 +198,40 @@ class TestKL203RngProvenance:
         }
         findings = run(tmp_path, files, "KL203")
         assert [f.key for f in findings] == ["np.random.random"]
+
+    @pytest.mark.parametrize(
+        "binding, call",
+        [
+            ("from numpy import random as npr", "npr.normal()"),
+            ("import numpy.random as npr", "npr.normal()"),
+            ("from random import shuffle", "shuffle(values)"),
+            ("from numpy.random import default_rng", "default_rng()"),
+        ],
+    )
+    def test_aliased_raw_randomness_flagged(self, tmp_path, binding, call):
+        """The call head resolves through import aliases and names."""
+        files = {
+            "repro/fleet/noise.py": f"""
+            {binding}
+
+            def draw(values):
+                return {call}
+            """,
+        }
+        findings = run(tmp_path, files, "KL203")
+        assert [f.key for f in findings] == [call.split("(")[0]]
+
+    def test_seeded_rng_twin_passes(self, tmp_path):
+        files = {
+            "repro/fleet/noise.py": """
+            from repro.util.rng import SeededRng
+
+            def draw(values, seed):
+                rng = SeededRng(seed, "noise")
+                return rng.shuffled(values), rng.normal()
+            """,
+        }
+        assert run(tmp_path, files, "KL203") == []
 
 
 class TestKL204StaleCache:

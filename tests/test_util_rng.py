@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.rng import (
+    DIGEST_BYTES,
     DRAWS_PER_DIGEST,
+    HashedDraws,
     HashedStream,
     SeededRng,
     derive_seed,
@@ -178,6 +180,13 @@ class TestHashedStream:
         assert stream.chance(("k", 1), 0.5) == stream.sample("k", 1).chance(0.5)
 
 
+def block_row(block, index):
+    """Row ``index`` of a block as a scalar draw budget."""
+    return HashedDraws(
+        block.digests[index * DIGEST_BYTES : (index + 1) * DIGEST_BYTES]
+    )
+
+
 class TestHashedBlock:
     def test_block_rows_identical_to_sample(self):
         """Row i of a block is byte-identical to sample(*common, tails[i])."""
@@ -187,7 +196,7 @@ class TestHashedBlock:
         assert len(block) == len(tails)
         for index, tail in enumerate(tails):
             scalar = stream.sample("sender-3", 42, tail)
-            row = block.draws(index)
+            row = block_row(block, index)
             for _ in range(DRAWS_PER_DIGEST):
                 assert row.uniform() == scalar.uniform()
 
@@ -197,7 +206,7 @@ class TestHashedBlock:
         block = stream.sample_block(("s", 1), [str(index) for index in range(32)])
         columns = [block.uniforms(j) for j in range(DRAWS_PER_DIGEST)]
         for index in range(32):
-            scalar = block.draws(index)
+            scalar = block_row(block, index)
             for j in range(DRAWS_PER_DIGEST):
                 assert columns[j][index] == scalar.uniform()
 
@@ -247,6 +256,6 @@ class TestHashedBlock:
         block = stream.sample_block(tuple(common), tails)
         for index, tail in enumerate(tails):
             assert (
-                block.draws(index).uniform()
+                block_row(block, index).uniform()
                 == stream.sample(*common, tail).uniform()
             )
