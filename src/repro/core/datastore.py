@@ -89,8 +89,16 @@ class DataStore:
             self._start += 1
             evicted_count += 1
         if self.window_age is not None:
-            horizon = capture.timestamp - self.window_age
-            fresh_start = bisect_left(self._stamps, horizon, lo=self._start)
+            newest = capture.timestamp
+            age = self.window_age
+            stamps = self._stamps
+            fresh_start = bisect_left(stamps, newest - age, lo=self._start)
+            # ``newest - age`` is rounded, so settle the cut on the age
+            # itself: keep exactly the captures with newest - stamp <= age.
+            while fresh_start > self._start and newest - stamps[fresh_start - 1] <= age:
+                fresh_start -= 1
+            while newest - stamps[fresh_start] > age:
+                fresh_start += 1
             evicted_age = fresh_start - self._start
             self._start = fresh_start
         if self._start > 1024 and self._start * 2 >= len(self._window):

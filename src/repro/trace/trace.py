@@ -5,10 +5,11 @@ from __future__ import annotations
 import gzip
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.sim.capture import Capture
 from repro.trace.record import TraceRecord
+from repro.util.ids import NodeId
 
 
 class Trace:
@@ -104,17 +105,23 @@ class Trace:
 
     @classmethod
     def load(cls, path) -> "Trace":
+        """Read a trace written by :meth:`save`.
+
+        Equal node ids share one ``NodeId`` across the whole file.  A
+        malformed record raises ``ValueError`` naming ``path:line``.
+        """
         path = Path(path)
         opener = gzip.open if path.suffix == ".gz" else open
         records = []
+        nodes: Dict[str, NodeId] = {}
         with opener(path, "rt", encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    records.append(TraceRecord.from_dict(json.loads(line)))
-                except (ValueError, KeyError) as error:
+                    records.append(TraceRecord.from_dict(json.loads(line), nodes))
+                except (ValueError, KeyError, TypeError) as error:
                     raise ValueError(
                         f"{path}:{line_number}: malformed trace record: {error}"
                     ) from error

@@ -13,7 +13,7 @@ import itertools
 import re
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Dict, Iterator
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.:\-]*$")
 
@@ -55,6 +55,19 @@ class NodeId:
     def with_suffix(self, suffix: str) -> "NodeId":
         """Return a derived id, e.g. ``NodeId('mote1').with_suffix('clone')``."""
         return NodeId(f"{self.value}-{suffix}")
+
+
+def interned_node_id(value: str, table: Dict[str, NodeId]) -> NodeId:
+    """The one ``NodeId`` for ``value`` in ``table``, built and validated on first use.
+
+    Decoders share a table across everything they read at once (a whole
+    trace file), so equal ids become one object: validation runs once
+    per distinct id, and dict lookups keyed by the id hit on identity.
+    """
+    node = table.get(value)
+    if node is None:
+        node = table[value] = NodeId(value)
+    return node
 
 
 def stable_hash(node: NodeId) -> int:

@@ -15,11 +15,13 @@ from repro.ckpt import (
     STOPPED,
     CheckpointService,
     SnapshotStore,
+    build_trace_deployment,
     canonical_outputs,
     restore,
     serve,
 )
 from repro.core.manager import TOPIC_MODULE_QUARANTINE, ModuleHealth
+from repro.experiments import icmp_flood_scenario
 from repro.experiments.soak_scenario import build_e1_deployment
 from repro.faults import FaultPlan, ProcessKill
 from repro.obs import Telemetry
@@ -214,6 +216,26 @@ class TestServe:
             Path(resumed.canonical_path).read_bytes()
             == Path(plain.canonical_path).read_bytes()
         )
+
+    def test_serve_trace_kill_then_resume_matches_uninterrupted(self, tmp_path):
+        """``kalis-repro serve --trace``: the checkpoint pickles the
+        streamer's whole loaded trace, so the restored run must see the
+        same captures, shared ``NodeId`` objects and all."""
+        trace_path = tmp_path / "e1.jsonl"
+        icmp_flood_scenario.build(seed=7, symptom_instances=6).trace.save(trace_path)
+
+        def builder():
+            return build_trace_deployment(trace_path)
+
+        plain = serve(tmp_path / "plain", builder, checkpoint_interval=8.0)
+        kill = serve(tmp_path / "drill", builder, checkpoint_interval=8.0, kill_at=30.0)
+        assert kill.outcome == KILLED
+        resumed = serve(tmp_path / "drill", builder, checkpoint_interval=8.0, kill_at=30.0)
+        assert resumed.outcome == COMPLETED
+        assert resumed.resumed
+        baseline = Path(plain.canonical_path).read_bytes()
+        assert b"icmp_flood" in baseline
+        assert Path(resumed.canonical_path).read_bytes() == baseline
 
 
 class TestDaemonProcess:

@@ -1,5 +1,6 @@
 """Tests for trace recording, persistence, merging and replay."""
 
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,37 @@ class TestPersistence:
         path.write_text('{"not": "a record"}\n')
         with pytest.raises(ValueError, match="bad.jsonl:1"):
             Trace.load(path)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["unknown-field", "missing-required-field", "non-object-line", "wrongly-typed-value"],
+    )
+    def test_malformed_record_reports_location(self, tmp_path, kind):
+        data = TraceRecord(capture_at(2.0)).to_dict()
+        ip_layer = data["packet"]["payload"]
+        if kind == "unknown-field":
+            ip_layer["bogus"] = 1
+        elif kind == "missing-required-field":
+            del ip_layer["src_ip"]
+        elif kind == "non-object-line":
+            data = [1, 2]
+        else:
+            ip_layer["ttl"] = "64"
+        path = tmp_path / "bad.jsonl"
+        Trace([TraceRecord(capture_at(1.0))]).save(path)
+        with path.open("a") as handle:
+            handle.write(json.dumps(data) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: malformed trace record"):
+            Trace.load(path)
+
+    def test_load_shares_one_node_id_per_string(self, tmp_path):
+        record = TraceRecord(capture_at(1.0), attack="x", attacker=NodeId("a"))
+        path = tmp_path / "t.jsonl"
+        Trace([record, TraceRecord(capture_at(2.0))]).save(path)
+        first, second = Trace.load(path)
+        assert first == record
+        assert first.attacker is first.capture.packet.src is second.capture.packet.src
+        assert first.capture.observer is second.capture.observer
 
     def test_blank_lines_skipped(self, tmp_path):
         trace = Trace([TraceRecord(capture_at(1.0))])
