@@ -32,10 +32,8 @@ class BlackholeMote(CtpNode):
     ) -> None:
         super().__init__(node_id, position, data_interval=data_interval)
         self.log = SymptomLog(self.ATTACK_NAME, node_id)
-        self.dropped_count = 0
 
     def forward_data(self, data: CtpDataFrame) -> None:
-        self.dropped_count += 1
         self.log.record(self.sim.clock.now)
 
 
@@ -52,8 +50,6 @@ class BlackholeMeshNode(ZigbeeMeshNode):
     ) -> None:
         super().__init__(node_id, position, pan_id=pan_id)
         self.log = SymptomLog(self.ATTACK_NAME, node_id)
-        self.dropped_count = 0
 
     def forward_packet(self, packet: ZigbeePacket, timestamp: float) -> None:
-        self.dropped_count += 1
         self.log.record(timestamp)

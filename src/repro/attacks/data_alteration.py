@@ -52,14 +52,10 @@ class AlteringMote(CtpNode):
         self.max_alterations = max_alterations
         self._rng = rng if rng is not None else SeededRng(0, "attack", node_id.value)
         self.log = SymptomLog(self.ATTACK_NAME, node_id)
-        self.altered_count = 0
 
     def forward_data(self, data: CtpDataFrame) -> None:
-        quota_left = (
-            self.max_alterations is None or self.altered_count < self.max_alterations
-        )
+        quota_left = self.max_alterations is None or len(self.log) < self.max_alterations
         if quota_left and self._rng.chance(self.alter_probability):
-            self.altered_count += 1
             self.log.record(self.sim.clock.now)
             data = CtpDataFrame(
                 origin=data.origin,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.attacks.base import SymptomLog
+from repro.attacks.base import RecurringAttack
 from repro.net.addressing import BROADCAST
 from repro.net.packets.base import Medium
 from repro.net.packets.ctp import CtpRoutingFrame
@@ -21,7 +21,7 @@ from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
 
 
-class HelloFloodNode(SimNode):
+class HelloFloodNode(RecurringAttack, SimNode):
     """Floods the 802.15.4 channel with attractive routing beacons.
 
     :param beacons_per_burst: beacons per burst (one burst = one symptom
@@ -46,29 +46,12 @@ class HelloFloodNode(SimNode):
             raise ValueError(
                 f"beacons_per_burst must be >= 1, got {beacons_per_burst}"
             )
+        self._init_recurring(burst_interval, start_delay, max_bursts, rng)
         self.pan_id = pan_id
         self.beacons_per_burst = beacons_per_burst
-        self.burst_interval = burst_interval
-        self.start_delay = start_delay
-        self.max_bursts = max_bursts
-        self._rng = rng if rng is not None else SeededRng(0, "attack", node_id.value)
-        self.log = SymptomLog(self.ATTACK_NAME, node_id)
         self._seq = 0
 
-    def start(self) -> None:
-        self.sim.schedule_in(self.start_delay, self._burst_tick)
-
-    def _burst_tick(self) -> None:
-        if not self.attached:
-            return
-        if self.max_bursts is not None and len(self.log) >= self.max_bursts:
-            return
-        self.fire_burst()
-        self.sim.schedule_in(
-            self._rng.jitter(self.burst_interval, 0.1), self._burst_tick
-        )
-
-    def fire_burst(self) -> None:
+    def fire(self) -> None:
         start = self.sim.clock.now
         for _ in range(self.beacons_per_burst):
             self._seq += 1

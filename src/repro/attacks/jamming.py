@@ -65,6 +65,8 @@ class JammingNode(SimNode):
         self._rng = rng if rng is not None else SeededRng(0, "attack", node_id.value)
         self.log = SymptomLog(self.ATTACK_NAME, node_id)
         self.jamming_now = False
+        #: Start time of the burst in progress (read when it ends).
+        self._burst_begun = 0.0
 
     def start(self) -> None:
         self.sim.schedule_in(self.start_delay, self._burst_start)
@@ -75,16 +77,15 @@ class JammingNode(SimNode):
         if self.max_bursts is not None and len(self.log) >= self.max_bursts:
             return
         self.jamming_now = True
-        start = self.sim.clock.now
+        self._burst_begun = self.sim.clock.now
         self.sim.medium(self.jam_medium).set_interference(self.loss_probability)
-        self.sim.schedule_in(
-            self.burst_duration, lambda begun=start: self._burst_end(begun)
-        )
+        self.sim.schedule_in(self.burst_duration, self._burst_end)
 
-    def _burst_end(self, begun: float) -> None:
+    def _burst_end(self) -> None:
         self.jamming_now = False
         if self.attached:
             self.sim.medium(self.jam_medium).set_interference(0.0)
+        begun = self._burst_begun
         self.log.record(begun, begun + self.burst_duration)
         if self.attached:
             self.sim.schedule_in(

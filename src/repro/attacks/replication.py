@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.attacks.base import SymptomLog
+from repro.attacks.base import RecurringAttack
 from repro.net.packets.base import Medium, RawPayload
 from repro.net.packets.ctp import CtpDataFrame
 from repro.net.packets.ieee802154 import Ieee802154Frame
@@ -27,7 +27,7 @@ from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
 
 
-class ReplicaMote(SimNode):
+class ReplicaMote(RecurringAttack, SimNode):
     """A clone of a legitimate CTP mote, transmitting under its identity.
 
     :param cloned_identity: the legitimate node id the replica claims.
@@ -55,31 +55,14 @@ class ReplicaMote(SimNode):
         # The replica's *true* identity exists only as simulation ground
         # truth; every frame it emits claims cloned_identity.
         super().__init__(node_id, position, mediums=(Medium.IEEE_802_15_4,))
+        self._init_recurring(send_interval, start_delay, max_sends, rng)
         self.cloned_identity = cloned_identity
         self.clone_parent = clone_parent
         self.pan_id = pan_id
-        self.send_interval = send_interval
-        self.start_delay = start_delay
-        self.max_sends = max_sends
         self.seqno_offset = seqno_offset
-        self._rng = rng if rng is not None else SeededRng(0, "attack", node_id.value)
-        self.log = SymptomLog(self.ATTACK_NAME, node_id)
         self._seq = 0
 
-    def start(self) -> None:
-        self.sim.schedule_in(self.start_delay, self._send_tick)
-
-    def _send_tick(self) -> None:
-        if not self.attached:
-            return
-        if self.max_sends is not None and len(self.log) >= self.max_sends:
-            return
-        self.send_forged_data()
-        self.sim.schedule_in(
-            self._rng.jitter(self.send_interval, 0.1), self._send_tick
-        )
-
-    def send_forged_data(self) -> None:
+    def fire(self) -> None:
         """Emit one data frame under the cloned identity."""
         self._seq += 1
         data = CtpDataFrame(
@@ -99,7 +82,7 @@ class ReplicaMote(SimNode):
         self.log.record(self.sim.clock.now)
 
 
-class ReplicaMeshNode(SimNode):
+class ReplicaMeshNode(RecurringAttack, SimNode):
     """A clone of a legitimate ZigBee mesh node."""
 
     ATTACK_NAME = "replication"
@@ -118,31 +101,14 @@ class ReplicaMeshNode(SimNode):
         rng: Optional[SeededRng] = None,
     ) -> None:
         super().__init__(node_id, position, mediums=(Medium.IEEE_802_15_4,))
+        self._init_recurring(send_interval, start_delay, max_sends, rng)
         self.cloned_identity = cloned_identity
         self.target = target
         self.next_hop = next_hop
         self.pan_id = pan_id
-        self.send_interval = send_interval
-        self.start_delay = start_delay
-        self.max_sends = max_sends
-        self._rng = rng if rng is not None else SeededRng(0, "attack", node_id.value)
-        self.log = SymptomLog(self.ATTACK_NAME, node_id)
         self._seq = 0
 
-    def start(self) -> None:
-        self.sim.schedule_in(self.start_delay, self._send_tick)
-
-    def _send_tick(self) -> None:
-        if not self.attached:
-            return
-        if self.max_sends is not None and len(self.log) >= self.max_sends:
-            return
-        self.send_forged_data()
-        self.sim.schedule_in(
-            self._rng.jitter(self.send_interval, 0.1), self._send_tick
-        )
-
-    def send_forged_data(self) -> None:
+    def fire(self) -> None:
         self._seq += 1
         packet = ZigbeePacket(
             src=self.cloned_identity,

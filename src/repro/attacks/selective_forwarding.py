@@ -50,12 +50,10 @@ class SelectiveForwardingMote(CtpNode):
         self.max_drops = max_drops
         self._rng = rng if rng is not None else SeededRng(0, "attack", node_id.value)
         self.log = SymptomLog(self.ATTACK_NAME, node_id)
-        self.dropped_count = 0
 
     def forward_data(self, data: CtpDataFrame) -> None:
-        quota_left = self.max_drops is None or self.dropped_count < self.max_drops
+        quota_left = self.max_drops is None or len(self.log) < self.max_drops
         if quota_left and self._rng.chance(self.drop_probability):
-            self.dropped_count += 1
             self.log.record(self.sim.clock.now)
             return  # the drop: relay nothing
         super().forward_data(data)

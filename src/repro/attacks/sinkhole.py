@@ -53,7 +53,6 @@ class SinkholeMote(CtpNode):
         #: honest root settles, then out-advertise it.
         self.start_delay = start_delay
         self.log = SymptomLog(self.ATTACK_NAME, node_id)
-        self.swallowed_count = 0
 
     def start(self) -> None:
         self.sim.schedule_every(
@@ -71,7 +70,6 @@ class SinkholeMote(CtpNode):
         pass  # the sinkhole never re-parents; its "route" is the lie
 
     def forward_data(self, data: CtpDataFrame) -> None:
-        self.swallowed_count += 1
         self.log.record(self.sim.clock.now)
 
     def _on_data(self, data: CtpDataFrame, timestamp: float) -> None:
@@ -110,7 +108,6 @@ class RplSinkholeNode(RplNode):
         #: silent while the honest root settles, then out-advertises it.
         self.start_delay = start_delay
         self.log = SymptomLog(self.ATTACK_NAME, node_id)
-        self.swallowed_count = 0
 
     def start(self) -> None:
         self.sim.schedule_every(
@@ -122,5 +119,4 @@ class RplSinkholeNode(RplNode):
 
     def _on_data(self, lowpan, timestamp: float) -> None:
         # Attracted upward traffic is swallowed, never forwarded.
-        self.swallowed_count += 1
         self.log.record(timestamp)

@@ -17,13 +17,13 @@ from repro.net.addressing import BROADCAST
 from repro.net.packets.icmp import IcmpMessage, IcmpType
 from repro.net.packets.ip import IpPacket
 from repro.net.packets.wifi import WifiFrame
-from repro.attacks.base import SymptomLog
+from repro.attacks.base import RecurringAttack
 from repro.proto.iphost import BROADCAST_IP, IpHost, LanDirectory
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
 
 
-class SmurfAttacker(IpHost):
+class SmurfAttacker(RecurringAttack, IpHost):
     """Reflects ping replies off the victim's neighbours.
 
     :param victim_ip: forged as the Echo Request source, so every
@@ -52,28 +52,11 @@ class SmurfAttacker(IpHost):
             raise ValueError(
                 f"requests_per_burst must be >= 1, got {requests_per_burst}"
             )
+        self._init_recurring(burst_interval, start_delay, max_bursts, rng)
         self.victim_ip = victim_ip
         self.requests_per_burst = requests_per_burst
-        self.burst_interval = burst_interval
-        self.start_delay = start_delay
-        self.max_bursts = max_bursts
-        self._rng = rng if rng is not None else SeededRng(0, "attack", node_id.value)
-        self.log = SymptomLog(self.ATTACK_NAME, node_id)
 
-    def start(self) -> None:
-        self.sim.schedule_in(self.start_delay, self._burst_tick)
-
-    def _burst_tick(self) -> None:
-        if not self.attached:
-            return
-        if self.max_bursts is not None and len(self.log) >= self.max_bursts:
-            return
-        self.fire_burst()
-        self.sim.schedule_in(
-            self._rng.jitter(self.burst_interval, 0.1), self._burst_tick
-        )
-
-    def fire_burst(self) -> None:
+    def fire(self) -> None:
         """Broadcast spoofed Echo Requests; neighbours do the flooding."""
         start = self.sim.clock.now
         for index in range(self.requests_per_burst):

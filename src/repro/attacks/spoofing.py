@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.attacks.base import SymptomLog
+from repro.attacks.base import RecurringAttack
 from repro.net.packets.base import Medium
 from repro.net.packets.ctp import CtpDataFrame
 from repro.net.packets.ieee802154 import Ieee802154Frame
@@ -21,7 +21,7 @@ from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
 
 
-class SpoofingNode(SimNode):
+class SpoofingNode(RecurringAttack, SimNode):
     """Injects forged CTP data under a live legitimate identity.
 
     :param spoofed_identity: the legitimate node being impersonated.
@@ -44,30 +44,13 @@ class SpoofingNode(SimNode):
         rng: Optional[SeededRng] = None,
     ) -> None:
         super().__init__(node_id, position, mediums=(Medium.IEEE_802_15_4,))
+        self._init_recurring(send_interval, start_delay, max_sends, rng)
         self.spoofed_identity = spoofed_identity
         self.target = target
         self.pan_id = pan_id
-        self.send_interval = send_interval
-        self.start_delay = start_delay
-        self.max_sends = max_sends
-        self._rng = rng if rng is not None else SeededRng(0, "attack", node_id.value)
-        self.log = SymptomLog(self.ATTACK_NAME, node_id)
         self._seq = 0
 
-    def start(self) -> None:
-        self.sim.schedule_in(self.start_delay, self._send_tick)
-
-    def _send_tick(self) -> None:
-        if not self.attached:
-            return
-        if self.max_sends is not None and len(self.log) >= self.max_sends:
-            return
-        self.send_forged()
-        self.sim.schedule_in(
-            self._rng.jitter(self.send_interval, 0.1), self._send_tick
-        )
-
-    def send_forged(self) -> None:
+    def fire(self) -> None:
         self._seq += 1
         forged = CtpDataFrame(
             origin=self.spoofed_identity,

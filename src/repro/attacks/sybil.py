@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.attacks.base import SymptomLog
+from repro.attacks.base import RecurringAttack
 from repro.net.packets.base import Medium, RawPayload
 from repro.net.packets.ieee802154 import Ieee802154Frame
 from repro.net.packets.zigbee import ZigbeeKind, ZigbeePacket
@@ -21,7 +21,7 @@ from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
 
 
-class SybilNode(SimNode):
+class SybilNode(RecurringAttack, SimNode):
     """Emits ZigBee traffic under several fabricated identities.
 
     :param identity_count: number of fake identities.
@@ -47,32 +47,15 @@ class SybilNode(SimNode):
         super().__init__(node_id, position, mediums=(Medium.IEEE_802_15_4,))
         if identity_count < 2:
             raise ValueError(f"identity_count must be >= 2, got {identity_count}")
+        self._init_recurring(round_interval, start_delay, max_rounds, rng)
         self.target = target
         self.pan_id = pan_id
-        self.round_interval = round_interval
-        self.start_delay = start_delay
-        self.max_rounds = max_rounds
-        self._rng = rng if rng is not None else SeededRng(0, "attack", node_id.value)
-        self.log = SymptomLog(self.ATTACK_NAME, node_id)
         self.fake_identities: List[NodeId] = [
             node_id.with_suffix(f"sybil{index}") for index in range(identity_count)
         ]
         self._seq = 0
 
-    def start(self) -> None:
-        self.sim.schedule_in(self.start_delay, self._round_tick)
-
-    def _round_tick(self) -> None:
-        if not self.attached:
-            return
-        if self.max_rounds is not None and len(self.log) >= self.max_rounds:
-            return
-        self.fire_round()
-        self.sim.schedule_in(
-            self._rng.jitter(self.round_interval, 0.1), self._round_tick
-        )
-
-    def fire_round(self) -> None:
+    def fire(self) -> None:
         """One frame from every fabricated identity, back to back."""
         start = self.sim.clock.now
         for identity in self.fake_identities:

@@ -15,13 +15,13 @@ from typing import Optional, Tuple
 from repro.net.packets.ip import IpPacket
 from repro.net.packets.tcp import TcpFlags, TcpSegment
 from repro.net.packets.wifi import WifiFrame
-from repro.attacks.base import SymptomLog
+from repro.attacks.base import RecurringAttack
 from repro.proto.iphost import IpHost, LanDirectory
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
 
 
-class SynFloodAttacker(IpHost):
+class SynFloodAttacker(RecurringAttack, IpHost):
     """Floods a victim port with spoofed-source SYNs.
 
     :param victim_ip: target address.
@@ -49,35 +49,18 @@ class SynFloodAttacker(IpHost):
         super().__init__(node_id, position, directory, respond_to_ping=False)
         if burst_size < 1:
             raise ValueError(f"burst_size must be >= 1, got {burst_size}")
+        self._init_recurring(burst_interval, start_delay, max_bursts, rng)
         self.victim_ip = victim_ip
         self.victim_link = victim_link
         self.victim_port = victim_port
         self.burst_size = burst_size
-        self.burst_interval = burst_interval
-        self.start_delay = start_delay
-        self.max_bursts = max_bursts
-        self._rng = rng if rng is not None else SeededRng(0, "attack", node_id.value)
-        self.log = SymptomLog(self.ATTACK_NAME, node_id)
         self._spoof_counter = 0
-
-    def start(self) -> None:
-        self.sim.schedule_in(self.start_delay, self._burst_tick)
-
-    def _burst_tick(self) -> None:
-        if not self.attached:
-            return
-        if self.max_bursts is not None and len(self.log) >= self.max_bursts:
-            return
-        self.fire_burst()
-        self.sim.schedule_in(
-            self._rng.jitter(self.burst_interval, 0.1), self._burst_tick
-        )
 
     def _spoofed_source(self) -> str:
         self._spoof_counter += 1
         return f"192.168.{(self._spoof_counter // 250) % 250}.{self._spoof_counter % 250 + 1}"
 
-    def fire_burst(self) -> None:
+    def fire(self) -> None:
         start = self.sim.clock.now
         for _ in range(self.burst_size):
             syn = TcpSegment(

@@ -13,6 +13,7 @@ does the wormhole become identifiable.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Tuple
 
 from repro.attacks.base import SymptomLog
@@ -38,18 +39,15 @@ class WormholeEntry(ZigbeeMeshNode):
         super().__init__(node_id, position, pan_id=pan_id)
         self.log = SymptomLog(self.ATTACK_NAME, node_id)
         self.exit_node: Optional["WormholeExit"] = None
-        self.tunnelled_count = 0
 
     def forward_packet(self, packet: ZigbeePacket, timestamp: float) -> None:
         self.log.record(timestamp)
-        self.tunnelled_count += 1
         if self.exit_node is None or not self.attached:
             return
         # Out-of-band tunnel: a direct, un-sniffable hand-off.  Nothing
         # radiates on any monitored medium between entry and exit.
         self.sim.schedule_in(
-            TUNNEL_LATENCY_S,
-            lambda captured=packet: self.exit_node.emit_tunnelled(captured),
+            TUNNEL_LATENCY_S, partial(self.exit_node.emit_tunnelled, packet)
         )
 
 

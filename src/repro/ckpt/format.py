@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 MAGIC = b"KALISNAP"
 
 #: Schema version; bump on any layout or pickled-object-graph change.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Snapshot filename shape: ``snap-<sequence>.ksnap``.
 SNAPSHOT_SUFFIX = ".ksnap"

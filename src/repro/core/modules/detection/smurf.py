@@ -35,7 +35,7 @@ class SmurfModule(DetectionModule):
     """Detects reflected Echo-Reply floods on multi-hop networks.
 
     Parameters: ``threshold`` (default 15 replies), ``window`` (default
-    10 s), ``cooldown`` (default 15 s per victim).
+    10 s), ``cooldown`` (default 8 s per victim).
     """
 
     NAME = "SmurfModule"

@@ -32,7 +32,7 @@ class SybilModule(DetectionModule):
     Parameters: ``rssiTolerance`` (default 2.0 dB cluster width),
     ``burstSpan`` (default 0.25 s for a back-to-back burst),
     ``minIdentities`` (default 3), ``minBursts`` (default 3 correlated
-    bursts before alerting), ``cooldown`` (default 30 s).
+    bursts before alerting), ``cooldown`` (default 15 s).
     """
 
     NAME = "SybilModule"

@@ -32,7 +32,7 @@ class SynFloodModule(DetectionModule):
 
     Parameters: ``threshold`` (default 20 SYNs), ``window`` (default
     10 s), ``ratio`` (default 4.0: SYNs per completion before alerting),
-    ``cooldown`` (default 15 s per victim).
+    ``cooldown`` (default 8 s per victim).
     """
 
     NAME = "SynFloodModule"

@@ -160,7 +160,7 @@ def _build_smurf(seed: int, bursts: int) -> Tuple[Trace, List[SymptomInstance]]:
     sniffer = SnifferNode(NodeId("observer"), (5.0, 4.0))
     sim.add_node(sniffer)
     recorder = TraceRecorder().attach(sniffer)
-    sim.run(attacker.start_delay + bursts * attacker.burst_interval + 20.0)
+    sim.run(attacker.start_delay + bursts * attacker.interval + 20.0)
     return recorder.trace, attacker.log.instances
 
 
@@ -199,7 +199,7 @@ def _build_syn_flood(seed: int, bursts: int) -> Tuple[Trace, List[SymptomInstanc
     sniffer = SnifferNode(NodeId("observer"), (5.0, 4.0))
     sim.add_node(sniffer)
     recorder = TraceRecorder().attach(sniffer)
-    sim.run(attacker.start_delay + bursts * attacker.burst_interval + 20.0)
+    sim.run(attacker.start_delay + bursts * attacker.interval + 20.0)
     return recorder.trace, attacker.log.instances
 
 
@@ -257,7 +257,7 @@ def _build_sybil(seed: int, rounds: int) -> Tuple[Trace, List[SymptomInstance]]:
     sniffer = SnifferNode(NodeId("observer"), (4.0, 3.0))
     sim.add_node(sniffer)
     recorder = TraceRecorder().attach(sniffer)
-    sim.run(attacker.start_delay + rounds * attacker.round_interval + 20.0)
+    sim.run(attacker.start_delay + rounds * attacker.interval + 20.0)
     return recorder.trace, attacker.log.instances
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.attacks.icmp_flood import IcmpFloodAttacker
+from repro.ckpt.snapshot import alert_lines
 from repro.core.alerts import ALERT_TOPIC, Alert
 from repro.core.collective import CollectiveKnowledgeNetwork
 from repro.core.kalis import KalisNode
@@ -194,16 +195,6 @@ def _node_resources(node: KalisNode, duration: float, telemetry) -> Dict[str, fl
     }
 
 
-def alert_log_lines(alerts: List[Alert]) -> List[str]:
-    """Canonical one-line-per-alert serialization (the determinism oracle)."""
-    return [
-        f"{alert.timestamp:.6f} {alert.kalis_node.value} {alert.attack} "
-        f"by={alert.detected_by} "
-        f"suspects={','.join(sorted(s.value for s in alert.suspects))}"
-        for alert in alerts
-    ]
-
-
 def build_world(
     seed: int = 23,
     symptom_instances: int = 20,
@@ -333,7 +324,7 @@ def collect(world: ChaosWorld) -> ChaosResult:
         capture_count=primary.comm.total_captures,
         score=score,
         alerts=list(primary.alerts.alerts),
-        alert_log=alert_log_lines(primary.alerts.alerts),
+        alert_log=alert_lines(primary),
         health_table=primary.manager.health_table(),
         quarantined=list(world.quarantine_log.items),
         restored=list(world.restore_log.items),

@@ -45,6 +45,9 @@ from repro.util.rng import SeededRng
 #: The paper runs 50 symptom instances per attack scenario.
 PAPER_SYMPTOM_INSTANCES = 50
 
+#: Where every E1 caller places its observer: a sniffer or a Kalis node.
+OBSERVER_POSITION = (5.0, 4.0)
+
 
 @dataclass
 class BuiltScenario:
@@ -63,20 +66,21 @@ class BuiltScenario:
     sim: Optional[Simulator] = None
 
 
-def build(
-    seed: int = 7,
-    symptom_instances: int = PAPER_SYMPTOM_INSTANCES,
+def build_world(
+    sim: Simulator,
+    seed: int,
+    symptom_instances: int,
     burst_interval: float = 5.0,
     burst_size: int = 20,
-) -> BuiltScenario:
-    """Build and record the single-hop flood scenario.
+) -> IcmpFloodAttacker:
+    """Add the single-hop flood world to ``sim`` and return its flooder.
 
-    ``burst_size``/``burst_interval`` shape the flood: the default is
-    the paper-style burst; small bursts at short intervals give a
-    "slow-drip" flood whose detectability depends on the detector's
-    rate window (used by the E10 ablation).
+    Adds the router, the cloud, four devices and the flooder, in that
+    order (hence every RNG draw).  The observer is the caller's: a
+    trace-recording sniffer or a live Kalis node, placed at
+    :data:`OBSERVER_POSITION` after this returns.  The victim is
+    ``flooder.victim_link``.
     """
-    sim = Simulator(seed=seed)
     rng = SeededRng(seed, "icmp-flood-scenario")
     lan = LanDirectory()
     wan = LanDirectory()
@@ -117,8 +121,28 @@ def build(
         rng=rng.substream("attacker"),
     )
     sim.add_node(attacker)
+    return attacker
 
-    sniffer = SnifferNode(NodeId("observer"), (5.0, 4.0))
+
+def build(
+    seed: int = 7,
+    symptom_instances: int = PAPER_SYMPTOM_INSTANCES,
+    burst_interval: float = 5.0,
+    burst_size: int = 20,
+) -> BuiltScenario:
+    """Build and record the single-hop flood scenario.
+
+    ``burst_size``/``burst_interval`` shape the flood: the default is
+    the paper-style burst; small bursts at short intervals give a
+    "slow-drip" flood whose detectability depends on the detector's
+    rate window (used by the E10 ablation).
+    """
+    sim = Simulator(seed=seed)
+    attacker = build_world(
+        sim, seed, symptom_instances,
+        burst_interval=burst_interval, burst_size=burst_size,
+    )
+    sniffer = SnifferNode(NodeId("observer"), OBSERVER_POSITION)
     sim.add_node(sniffer)
     recorder = TraceRecorder().attach(sniffer)
 
@@ -129,7 +153,7 @@ def build(
         trace=recorder.trace,
         instances=attacker.log.instances,
         attacker=attacker.node_id,
-        victim=victim.node_id,
+        victim=attacker.victim_link,
         duration_s=duration,
         sim=sim,
     )

@@ -27,20 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.attacks.icmp_flood import IcmpFloodAttacker
 from repro.ckpt import Deployment, SoakReport, soak
-from repro.devices.commodity import (
-    ArloCamera,
-    CloudService,
-    LifxBulb,
-    NestThermostat,
-    Smartphone,
-)
-from repro.experiments import chaos_scenario
-from repro.proto.iphost import IpRouter, LanDirectory
+from repro.experiments import chaos_scenario, icmp_flood_scenario
 from repro.sim.engine import Simulator
 from repro.util.ids import NodeId
-from repro.util.rng import SeededRng
 
 from repro.core.kalis import KalisNode
 
@@ -52,57 +42,17 @@ def build_e1_deployment(
 ) -> Deployment:
     """The live E1 flood topology with a deployed Kalis node.
 
-    Mirrors :func:`repro.experiments.icmp_flood_scenario.build`'s
-    construction order, but attaches a live :class:`KalisNode` instead
-    of a passive trace recorder — this is the deployment the daemon
-    serves and the soak kills.
+    The world of :func:`repro.experiments.icmp_flood_scenario.build`,
+    observed by a live :class:`KalisNode` instead of a passive trace
+    recorder — this is the deployment the daemon serves and the soak
+    kills.
     """
     sim = Simulator(seed=seed, telemetry=telemetry)
-    rng = SeededRng(seed, "icmp-flood-scenario")
-    lan = LanDirectory()
-    wan = LanDirectory()
-
-    router = IpRouter(NodeId("router"), (0.0, 0.0), lan, wan)
-    sim.add_node(router)
-    cloud = CloudService(NodeId("cloud"), (500.0, 0.0), wan, gateway=router.node_id)
-    sim.add_node(cloud)
-
-    victim = NestThermostat(
-        NodeId("nest"), (6.0, 2.0), lan, cloud.ip, router.node_id,
-        rng=rng.substream("nest"),
-    )
-    sim.add_node(victim)
-    sim.add_node(
-        LifxBulb(NodeId("lifx"), (4.0, 6.0), lan, cloud.ip, router.node_id,
-                 rng=rng.substream("lifx"))
-    )
-    sim.add_node(
-        ArloCamera(NodeId("arlo"), (8.0, 5.0), lan, cloud.ip, router.node_id,
-                   rng=rng.substream("arlo"))
-    )
-    sim.add_node(
-        Smartphone(NodeId("phone"), (3.0, 3.0), lan, router.node_id,
-                   rng=rng.substream("phone"))
-    )
-
-    attacker = IcmpFloodAttacker(
-        NodeId("flooder"),
-        (9.0, 8.0),
-        lan,
-        victim_ip=victim.ip,
-        victim_link=victim.node_id,
-        burst_size=20,
-        burst_interval=5.0,
-        start_delay=12.0,
-        max_bursts=symptom_instances,
-        rng=rng.substream("attacker"),
-    )
-    sim.add_node(attacker)
-
+    attacker = icmp_flood_scenario.build_world(sim, seed, symptom_instances)
     kalis = KalisNode(NodeId("kalis-1"), telemetry=telemetry)
-    kalis.deploy(sim, position=(5.0, 4.0))
+    kalis.deploy(sim, position=icmp_flood_scenario.OBSERVER_POSITION)
 
-    duration = attacker.start_delay + symptom_instances * 5.0 + 20.0
+    duration = attacker.start_delay + symptom_instances * attacker.interval + 20.0
     return Deployment(
         sim=sim,
         kalis_nodes=[kalis],

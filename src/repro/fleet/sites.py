@@ -97,7 +97,7 @@ def build_site(spec: SiteSpec) -> Deployment:
     """Build one site's deployment from its spec alone.
 
     Reuses the E15 live-E1 topology; a quiet site keeps the same node
-    graph with ``max_bursts=0`` (the attacker's first tick is a no-op),
+    graph with ``max_instances=0`` (the attacker's first strike is a no-op),
     so every site's background chatter draws stay comparable.  The run
     length still covers one instance-slot of chatter so quiet sites
     produce real traffic.
@@ -105,7 +105,7 @@ def build_site(spec: SiteSpec) -> Deployment:
     instances = max(spec.instances, 1)
     deployment = build_e1_deployment(seed=spec.seed, symptom_instances=instances)
     if not spec.attacked:
-        deployment.extras["attacker"].max_bursts = 0
+        deployment.extras["attacker"].max_instances = 0
     deployment.label = f"fleet/{spec.site_id}"
     deployment.extras["site_spec"] = spec
     return deployment

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.obs.export import load_export_with_stats
 
 
-def _table(headers: List[str], rows: List[List[str]]) -> List[str]:
+def text_table(headers: List[str], rows: List[List[str]]) -> List[str]:
     """Left-aligned fixed-width text table."""
     widths = [len(header) for header in headers]
     for row in rows:
@@ -224,7 +224,7 @@ def render_report(path, top: int = 10) -> str:
     lines.append(f"hottest modules (top {top} by invocations)")
     if module_rows:
         lines.extend(
-            _table(
+            text_table(
                 ["module", "node", "invocations", "failures", "wall_ms"],
                 module_rows,
             )
@@ -247,7 +247,7 @@ def render_report(path, top: int = 10) -> str:
     lines.append(f"bus topics (top {top}, noisiest first)")
     if topic_rows:
         lines.extend(
-            _table(
+            text_table(
                 ["topic", "node", "published", "delivered", "errors", "deadletters"],
                 topic_rows,
             )
@@ -270,7 +270,7 @@ def render_report(path, top: int = 10) -> str:
     lines.append("collective sync retry tails")
     if link_rows:
         lines.extend(
-            _table(
+            text_table(
                 ["link", "sent", "delivered", "attempts", "retries", "gave_up"],
                 link_rows,
             )

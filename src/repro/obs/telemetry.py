@@ -113,10 +113,6 @@ class Telemetry:
     :param ring_capacity: flight-recorder entries kept per node.
     """
 
-    #: Class-level flag so ``telemetry is not None and telemetry.enabled``
-    #: keeps working if callers hold a disabled instance.
-    enabled = True
-
     def __init__(
         self,
         clock: Optional[Clock] = None,

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.obs.report import text_table
+
 
 def _percentile(values: List[float], q: float) -> float:
     if not values:
@@ -21,22 +23,6 @@ def _percentile(values: List[float], q: float) -> float:
     ordered = sorted(values)
     index = max(0, min(len(ordered) - 1, int(round(q * (len(ordered) - 1)))))
     return ordered[index]
-
-
-def _table(headers: List[str], rows: List[List[str]]) -> List[str]:
-    widths = [len(header) for header in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-
-    def fmt(cells: List[str]) -> str:
-        return "  ".join(
-            cell.ljust(widths[i]) for i, cell in enumerate(cells)
-        ).rstrip()
-
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return lines
 
 
 def fleet_report_data(
@@ -180,7 +166,7 @@ def render_fleet_report(data: Dict[str, Any]) -> str:
     lines.append(f"top {top} noisy sites (by alerts)")
     if data["noisy_sites"]:
         lines.extend(
-            _table(
+            text_table(
                 ["site", "alerts", "packets", "attacks"],
                 [
                     [
@@ -200,7 +186,7 @@ def render_fleet_report(data: Dict[str, Any]) -> str:
     lines.append("fleet detection table")
     if data["detection"]:
         lines.extend(
-            _table(
+            text_table(
                 ["attack", "sites", "alerts", "fleet_alerts"],
                 [
                     [
@@ -249,7 +235,7 @@ def render_fleet_report(data: Dict[str, Any]) -> str:
     lines.append("worker stragglers")
     if data["stragglers"]:
         lines.extend(
-            _table(
+            text_table(
                 [
                     "worker",
                     "sites_done",

@@ -9,6 +9,7 @@ from repro.attacks import (
     HelloFloodNode,
     IcmpFloodAttacker,
     ReplicaMeshNode,
+    ReplicaMote,
     SelectiveForwardingMote,
     SinkholeMote,
     SmurfAttacker,
@@ -148,7 +149,7 @@ class TestWsnAttackers:
         )
         sim.add_node(TelosbMote(NodeId("mote-3"), (75.0, 0.0)))
         sim.run(90.0)
-        assert attacker.dropped_count == 5
+        assert len(attacker.log) == 5
         assert attacker.forwarded_count > 0  # honest after the quota
 
     def test_blackhole_forwards_nothing(self):
@@ -158,7 +159,7 @@ class TestWsnAttackers:
         attacker = sim.add_node(BlackholeMote(NodeId("evil"), (50.0, 0.0)))
         sim.add_node(TelosbMote(NodeId("mote-3"), (75.0, 0.0)))
         sim.run(60.0)
-        assert attacker.dropped_count > 0
+        assert len(attacker.log) > 0
         assert attacker.forwarded_count == 0
         # mote-3's samples never arrive.
         origins = {o for o, _, _, _ in base.collected}
@@ -174,7 +175,7 @@ class TestWsnAttackers:
         sim.run(60.0)
         # The honest mote re-parented onto the liar.
         assert honest.parent == attacker.node_id
-        assert attacker.swallowed_count > 0
+        assert len(attacker.log) > 0
 
     def test_altering_mote_changes_seqno(self):
         sim = Simulator(seed=38)
@@ -186,7 +187,7 @@ class TestWsnAttackers:
         )
         sim.add_node(TelosbMote(NodeId("mote-3"), (75.0, 0.0)))
         sim.run(60.0)
-        assert attacker.altered_count > 0
+        assert len(attacker.log) > 0
         altered = [s for _, s, _, _ in base.collected if s > 7000]
         assert altered, "tampered sequence numbers must reach the root"
 
@@ -262,7 +263,7 @@ class TestWormhole:
         sim.run(2.0)
         # The packet arrived across a radio gap no honest path crosses.
         assert len(destination.delivered) == 1
-        assert pair.entry.tunnelled_count == 1
+        assert len(pair.entry.log) == 1
         assert pair.exit.emitted_count == 1
         assert len(pair.log) == 1
 
@@ -281,6 +282,89 @@ class TestWormhole:
         source.send_app(destination.node_id)
         sim.run(2.0)
         assert destination.delivered == []
+
+
+#: The timer-driven attackers: (factory, interval keyword, quota keyword).
+#: Each factory gets a LAN and a victim host, used or not.
+RECURRING_ATTACKERS = [
+    pytest.param(
+        lambda lan, victim, **schedule: IcmpFloodAttacker(
+            NodeId("evil"), (0.0, 0.0), lan, victim_ip=victim.ip,
+            victim_link=victim.node_id, burst_size=2, **schedule),
+        "burst_interval", "max_bursts", id="icmp_flood"),
+    pytest.param(
+        lambda lan, victim, **schedule: SmurfAttacker(
+            NodeId("evil"), (0.0, 0.0), lan, victim_ip=victim.ip,
+            requests_per_burst=1, **schedule),
+        "burst_interval", "max_bursts", id="smurf"),
+    pytest.param(
+        lambda lan, victim, **schedule: SynFloodAttacker(
+            NodeId("evil"), (0.0, 0.0), lan, victim_ip=victim.ip,
+            victim_link=victim.node_id, burst_size=2, **schedule),
+        "burst_interval", "max_bursts", id="syn_flood"),
+    pytest.param(
+        lambda lan, victim, **schedule: HelloFloodNode(
+            NodeId("evil"), (0.0, 0.0), beacons_per_burst=2, **schedule),
+        "burst_interval", "max_bursts", id="hello_flood"),
+    pytest.param(
+        lambda lan, victim, **schedule: ReplicaMote(
+            NodeId("evil"), (0.0, 0.0), cloned_identity=NodeId("mote-1"),
+            clone_parent=NodeId("mote-base"), **schedule),
+        "send_interval", "max_sends", id="replica_mote"),
+    pytest.param(
+        lambda lan, victim, **schedule: ReplicaMeshNode(
+            NodeId("evil"), (0.0, 0.0), cloned_identity=NodeId("member-1"),
+            target=NodeId("coord"), next_hop=NodeId("coord"), **schedule),
+        "send_interval", "max_sends", id="replica_mesh"),
+    pytest.param(
+        lambda lan, victim, **schedule: SpoofingNode(
+            NodeId("evil"), (0.0, 0.0), spoofed_identity=NodeId("mote-7"),
+            target=NodeId("parent"), **schedule),
+        "send_interval", "max_sends", id="spoofing"),
+    pytest.param(
+        lambda lan, victim, **schedule: SybilNode(
+            NodeId("evil"), (0.0, 0.0), target=NodeId("coord"),
+            identity_count=2, **schedule),
+        "round_interval", "max_rounds", id="sybil"),
+]
+
+
+@pytest.mark.parametrize("build, interval_kw, quota_kw", RECURRING_ATTACKERS)
+class TestRecurringAttackContract:
+    """Every timer-driven attacker strikes on the one shared schedule:
+    first at ``start_delay``, then every ``interval`` +/-10%, until the
+    symptom log holds ``max_instances`` or the node is detached."""
+
+    START_DELAY = 2.0
+    INTERVAL = 3.0
+
+    def deploy(self, build, interval_kw, quota_kw, quota):
+        sim = Simulator(seed=45)
+        lan = LanDirectory()
+        victim = sim.add_node(IpHost(NodeId("victim"), (3.0, 0.0), lan))
+        attacker = sim.add_node(build(
+            lan, victim, start_delay=self.START_DELAY, rng=SeededRng(11),
+            **{interval_kw: self.INTERVAL, quota_kw: quota},
+        ))
+        return sim, attacker
+
+    def test_strikes_on_schedule_up_to_quota(self, build, interval_kw, quota_kw):
+        sim, attacker = self.deploy(build, interval_kw, quota_kw, quota=4)
+        assert (attacker.interval, attacker.max_instances) == (self.INTERVAL, 4)
+        sim.run(60.0)
+        starts = [instance.start for instance in attacker.log.instances]
+        assert len(starts) == 4
+        assert starts[0] == pytest.approx(self.START_DELAY)
+        for earlier, later in zip(starts, starts[1:]):
+            assert 0.9 * self.INTERVAL <= later - earlier <= 1.1 * self.INTERVAL
+
+    def test_nothing_fires_after_detach(self, build, interval_kw, quota_kw):
+        sim, attacker = self.deploy(build, interval_kw, quota_kw, quota=None)
+        sim.run(self.START_DELAY + 1.5 * self.INTERVAL)
+        assert len(attacker.log) == 2
+        sim.remove_node(attacker.node_id)
+        sim.run(10 * self.INTERVAL)
+        assert len(attacker.log) == 2
 
 
 class TestValidation:

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.attacks import JammingNode, WormholePair
 from repro.ckpt import (
     Deployment,
     SnapshotCorrupt,
@@ -12,10 +13,14 @@ from repro.ckpt import (
     restore,
 )
 from repro.core.kalis import KalisNode
+from repro.devices.wsn import build_wsn
 from repro.experiments.soak_scenario import build_e1_deployment
 from repro.obs import Telemetry
+from repro.proto.mesh import ZigbeeMeshNode
 from repro.sim.engine import Simulator
+from repro.sim.topology import line_positions
 from repro.util.ids import NodeId
+from repro.util.rng import SeededRng
 
 
 def _run_plain(seed=7, instances=6):
@@ -128,6 +133,81 @@ class TestRestoreSeams:
         assert restored.sim.use_batched_delivery is True  # the old layout
         restored.run_to(restored.end_time)
         assert canonical_outputs(restored) == baseline
+
+
+def _jamming_deployment():
+    """A CTP line watched by Kalis, with a jammer bursting 10-18 s and 30-38 s."""
+    sim = Simulator(seed=29)
+    base, _motes = build_wsn(sim, line_positions(4, 20.0))
+    jammer = sim.add_node(
+        JammingNode(NodeId("jammer"), (30.0, 5.0), loss_probability=0.92,
+                    burst_duration=8.0, burst_interval=20.0, start_delay=10.0,
+                    max_bursts=2, rng=SeededRng(29, "jammer"))
+    )
+    kalis = KalisNode(NodeId("kalis-1"))
+    kalis.deploy(sim, position=(30.0, 8.0))
+    return Deployment(sim=sim, kalis_nodes=[kalis], end_time=50.0,
+                      extras={"attacker": jammer, "sink": base})
+
+
+def _wormhole_deployment():
+    """One packet on its way into a wormhole's out-of-band tunnel."""
+    sim = Simulator(seed=43)
+    source = ZigbeeMeshNode(NodeId("src"), (0.0, 0.0))
+    pair = WormholePair(NodeId("B1"), (25.0, 0.0), NodeId("B2"), (300.0, 0.0))
+    destination = ZigbeeMeshNode(NodeId("dst"), (325.0, 0.0))
+    source.set_routes({destination.node_id: pair.entry.node_id})
+    pair.exit.set_routes({destination.node_id: destination.node_id})
+    sim.add_node(source)
+    pair.add_to(sim)
+    sim.add_node(destination)
+    deployment = Deployment(sim=sim, end_time=2.0,
+                            extras={"attacker": pair.entry, "sink": destination})
+    deployment.run_to(0.01)
+    source.send_app(destination.node_id)
+    return deployment
+
+
+def _observed(deployment, received):
+    """Canonical outputs, ground truth, and what reached the sink."""
+    extras = deployment.extras
+    return (
+        canonical_outputs(deployment),
+        extras["attacker"].log.instances,
+        getattr(extras["sink"], received),
+    )
+
+
+class TestAttackerCallbacks:
+    """Attackers queue bound methods, never closures, so a checkpoint
+    can land while a jamming burst or a wormhole tunnel is in flight."""
+
+    def test_capture_mid_jamming_burst_restores_same_run(self):
+        baseline = _jamming_deployment()
+        baseline.run_to(baseline.end_time)
+
+        deployment = _jamming_deployment()
+        deployment.run_to(14.0)
+        assert deployment.extras["attacker"].jamming_now
+        restored = restore(capture(deployment))
+        restored.run_to(restored.end_time)
+        assert len(restored.extras["attacker"].log) == 2
+        assert _observed(restored, "collected") == _observed(baseline, "collected")
+
+    def test_capture_mid_tunnel_restores_same_run(self):
+        baseline = _wormhole_deployment()
+        baseline.run_to(baseline.end_time)
+
+        deployment = _wormhole_deployment()
+        entry = deployment.extras["attacker"]
+        while not entry.log:
+            deployment.run_to(deployment.now + 0.0005)
+        # Swallowed by the entry, not yet re-emitted by the exit.
+        assert entry.exit_node.emitted_count == 0
+        restored = restore(capture(deployment))
+        restored.run_to(restored.end_time)
+        assert len(restored.extras["sink"].delivered) == 1
+        assert _observed(restored, "delivered") == _observed(baseline, "delivered")
 
 
 class TestDeployment:

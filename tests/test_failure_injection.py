@@ -61,7 +61,7 @@ class TestLossyRadio:
         kalis, forwarder = wsn_with_attacker(
             seed=82, loss_probability=0.10, drop_probability=0.8
         )
-        assert forwarder.dropped_count > 0
+        assert len(forwarder.log) > 0
         accused = {
             suspect for alert in kalis.alerts.alerts for suspect in alert.suspects
         }
