@@ -11,7 +11,8 @@ decision) — must not flow into a **sink** that shapes behaviour:
 
 - a branch condition (``if``/``while`` tests);
 - an event-bus publish (``*.bus.publish(…)`` arguments);
-- an alert payload (``raise_alert(…)`` arguments);
+- an alert payload (``self.alert(…)`` arguments — the one call through
+  which a detection module raises an alert);
 - a Knowledge Base write (``kb.put``/``put_static`` arguments).
 
 Taint propagates through assignments within one function body (to a
@@ -199,11 +200,11 @@ class DeterminismTaintRule(Rule):
         chain = attribute_chain(call.func)
         if not chain:
             return None
-        method = chain[-1]
-        if method == "raise_alert":
+        if chain == ["self", "alert"]:
             return "an alert payload"
         if len(chain) < 2:
             return None
+        method = chain[-1]
         receiver = chain[-2]
         if method == "publish" and (
             receiver == "bus" or receiver.endswith("bus")

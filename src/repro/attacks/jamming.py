@@ -82,20 +82,22 @@ class JammingNode(SimNode):
         self.sim.schedule_in(self.burst_duration, self._burst_end)
 
     def _burst_end(self) -> None:
+        if not self.jamming_now:
+            return  # revoked mid-burst: detach() already closed it
         self.jamming_now = False
-        if self.attached:
-            self.sim.medium(self.jam_medium).set_interference(0.0)
+        self.sim.medium(self.jam_medium).set_interference(0.0)
         begun = self._burst_begun
         self.log.record(begun, begun + self.burst_duration)
-        if self.attached:
-            self.sim.schedule_in(
-                self._rng.jitter(self.burst_interval - self.burst_duration, 0.1),
-                self._burst_start,
-            )
+        self.sim.schedule_in(
+            self._rng.jitter(self.burst_interval - self.burst_duration, 0.1),
+            self._burst_start,
+        )
 
     def detach(self) -> None:
-        # Revoking the jammer silences the interference it generates.
+        # Revoking the jammer silences the interference it generates and
+        # closes the burst in progress at the revocation instant.
         if self.jamming_now and self.sim is not None:
             self.sim.medium(self.jam_medium).set_interference(0.0)
             self.jamming_now = False
+            self.log.record(self._burst_begun, self.sim.clock.now)
         super().detach()

@@ -39,6 +39,7 @@ from repro.ckpt.snapshot import (
     canonical_outputs,
     capture,
     restore,
+    restore_latest,
 )
 from repro.ckpt.soak import SoakReport, run_with_kills, soak
 
@@ -66,6 +67,7 @@ __all__ = [
     "read_header",
     "read_snapshot",
     "restore",
+    "restore_latest",
     "run_with_kills",
     "soak",
     "write_snapshot",

@@ -4,8 +4,8 @@ Wraps :class:`~repro.ckpt.service.CheckpointService` in the
 process-level plumbing a long-running Kalis node needs:
 
 - **resume-or-build**: a fresh process pointed at a populated snapshot
-  store picks up exactly where the previous one stopped (corrupt and
-  version-skewed snapshots are skipped fail-soft);
+  store picks up exactly where the previous one stopped (snapshots that
+  fail to read or to restore are skipped fail-soft);
 - **workloads**: the live E15 builders (``e1``, ``chaos``) or a stored
   traffic trace ingested incrementally through
   :class:`~repro.trace.TraceStreamer` — O(chunk) queue depth, safe to
@@ -116,7 +116,6 @@ def serve(
         a cooperative stop (only from the main thread of a process).
     """
     store = SnapshotStore(Path(store_dir), keep=keep)
-    resumed = store.latest() is not None
     service = CheckpointService.resume_or_build(
         store,
         builder,
@@ -149,7 +148,7 @@ def serve(
     return ServeReport(
         outcome=outcome,
         checkpoints_written=service.checkpoints_written,
-        resumed=resumed,
+        resumed=service.resumed,
         now=deployment.now,
         end_time=deployment.end_time,
         snapshots=[path.name for path in store.paths()],

@@ -16,7 +16,7 @@ Writes are atomic: the bytes go to a uniquely-named temp file in the
 target directory, are fsynced, then :func:`os.replace`-d over the final
 name — a crash mid-write leaves at worst a stray ``.tmp`` file and the
 previous snapshot intact.  :class:`SnapshotStore` builds a bounded
-rotation on top, and its :meth:`SnapshotStore.latest` walks newest to
+rotation on top, and its :meth:`SnapshotStore.readable` walks newest to
 oldest, *skipping* corrupt or version-skewed files (fail-soft): a
 damaged latest snapshot costs one checkpoint interval, never the run.
 """
@@ -28,13 +28,13 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: File magic: identifies a Kalis snapshot regardless of version.
 MAGIC = b"KALISNAP"
 
 #: Schema version; bump on any layout or pickled-object-graph change.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Snapshot filename shape: ``snap-<sequence>.ksnap``.
 SNAPSHOT_SUFFIX = ".ksnap"
@@ -227,20 +227,27 @@ class SnapshotStore:
                 pass
         return removed
 
-    def latest(self) -> Optional[Tuple[Dict[str, Any], bytes]]:
-        """The newest *valid* snapshot's (header, payload), or None.
+    def readable(self) -> Iterator[Tuple[Path, Dict[str, Any], bytes]]:
+        """Every snapshot that reads and verifies, newest first.
 
-        Walks newest to oldest; a corrupt, truncated or version-skewed
-        file is recorded in :attr:`skipped` and the walk continues — a
-        damaged snapshot never takes the service down, it just resumes
-        from the previous good one.
+        Yields ``(path, header, payload)``.  A corrupt, truncated or
+        version-skewed file is recorded in :attr:`skipped` and the walk
+        continues — a damaged snapshot never takes the service down, it
+        just resumes from the previous good one.
         """
         self.skipped = []
         for path in reversed(self.paths()):
             try:
-                return read_snapshot(path)
+                header, payload = read_snapshot(path)
             except SnapshotError as error:
                 self.skipped.append((path, str(error)))
+                continue
+            yield path, header, payload
+
+    def latest(self) -> Optional[Tuple[Dict[str, Any], bytes]]:
+        """The newest *valid* snapshot's (header, payload), or None."""
+        for _path, header, payload in self.readable():
+            return header, payload
         return None
 
 

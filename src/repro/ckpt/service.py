@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.ckpt.format import SnapshotStore
-from repro.ckpt.snapshot import Deployment, capture, restore
+from repro.ckpt.snapshot import Deployment, capture, restore_latest
 from repro.faults import ProcessKilled
 
 #: Terminal states :meth:`CheckpointService.run` can return.
@@ -68,6 +68,8 @@ class CheckpointService:
         self.on_checkpoint = on_checkpoint
         self.checkpoints_written = 0
         self.last_kill_at: Optional[float] = None
+        #: True when :meth:`resume_or_build` restored a snapshot.
+        self.resumed = False
         self._stop_requested = False
 
     @classmethod
@@ -79,25 +81,22 @@ class CheckpointService:
         snapshot_on_kill: bool = True,
         on_checkpoint: Optional[Callable[[Deployment], None]] = None,
     ) -> "CheckpointService":
-        """Restore the newest valid snapshot, or build a fresh deployment.
+        """Restore the newest usable snapshot, or build a fresh deployment.
 
-        Corrupt or version-skewed snapshots are skipped fail-soft (see
-        :meth:`SnapshotStore.latest`); only if no snapshot in the store
-        is usable does ``builder`` run.
+        Snapshots that fail to read or to restore are skipped fail-soft
+        (see :func:`~repro.ckpt.snapshot.restore_latest`); only if none
+        restores does ``builder`` run.
         """
-        latest = store.latest()
-        if latest is not None:
-            _header, payload = latest
-            deployment = restore(payload)
-        else:
-            deployment = builder()
-        return cls(
+        restored = restore_latest(store)
+        service = cls(
             store,
-            deployment,
+            restored if restored is not None else builder(),
             checkpoint_interval=checkpoint_interval,
             snapshot_on_kill=snapshot_on_kill,
             on_checkpoint=on_checkpoint,
         )
+        service.resumed = restored is not None
+        return service
 
     def request_stop(self) -> None:
         """Ask the run loop to checkpoint and exit at the next boundary."""

@@ -34,7 +34,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.ckpt.format import SnapshotCorrupt
+from repro.ckpt.format import SnapshotCorrupt, SnapshotError, SnapshotStore
 
 #: Pickle protocol pinned for cross-version snapshot stability.
 PICKLE_PROTOCOL = 4
@@ -131,6 +131,22 @@ def restore(payload: bytes) -> Deployment:
         )
     deployment.rebuild_derived_state()
     return deployment
+
+
+def restore_latest(store: SnapshotStore) -> Optional[Deployment]:
+    """Restore the newest snapshot that reads *and* restores, or None.
+
+    A snapshot can verify (header and digest) and still not restore: a
+    payload pickled from classes this code no longer has.  Such a file
+    joins the unreadable ones in ``store.skipped`` and the walk goes on
+    to the next older snapshot.
+    """
+    for path, _header, payload in store.readable():
+        try:
+            return restore(payload)
+        except SnapshotError as error:
+            store.skipped.append((path, str(error)))
+    return None
 
 
 def alert_lines(node) -> List[str]:

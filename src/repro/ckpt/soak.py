@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 
 from repro.ckpt.format import SnapshotStore
 from repro.ckpt.service import COMPLETED, KILLED, CheckpointService
-from repro.ckpt.snapshot import Deployment, canonical_outputs, restore
+from repro.ckpt.snapshot import Deployment, canonical_outputs, restore_latest
 from repro.faults import FaultPlan, ProcessKill
 
 
@@ -64,10 +64,10 @@ def run_with_kills(
     """Drive a deployment through scheduled kills and store restores.
 
     Returns ``(final_deployment, cycles, checkpoints)``.  After each
-    kill the in-memory deployment is dropped and the newest valid
-    snapshot restored — the same code path a freshly exec'd daemon
-    takes — so the continuation can only depend on what the snapshot
-    actually carried.
+    kill the in-memory deployment is dropped and the run continues from
+    the newest snapshot that restores — the same code path a freshly
+    exec'd daemon takes — so the continuation can only depend on what
+    the snapshot actually carried.
     """
     if kill_times:
         plan = FaultPlan(
@@ -92,13 +92,13 @@ def run_with_kills(
         cycles += 1
         if cycles > max_cycles:
             raise RuntimeError(f"soak exceeded {max_cycles} kill cycles")
-        latest = store.latest()
-        if latest is None:
-            raise RuntimeError("kill fired before any snapshot was written")
         # Process death: the live graph is gone; only the store remains.
+        restored = restore_latest(store)
+        if restored is None:
+            raise RuntimeError("kill fired before any snapshot restores")
         service = CheckpointService(
             store,
-            restore(latest[1]),
+            restored,
             checkpoint_interval=checkpoint_interval,
             snapshot_on_kill=snapshot_on_kill,
         )

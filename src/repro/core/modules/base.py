@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.alerts import ALERT_TOPIC, Alert
 from repro.core.datastore import DataStore
@@ -99,32 +99,6 @@ class ModuleContext:
         self.datastore = datastore
         self.bus = bus
         self.node_id = node_id
-        self.alerts_raised = 0
-
-    def raise_alert(
-        self,
-        attack: str,
-        detected_by: str,
-        timestamp: float,
-        suspects: Iterable[NodeId] = (),
-        victim: Optional[NodeId] = None,
-        confidence: float = 1.0,
-        details: Optional[Dict[str, Any]] = None,
-    ) -> Alert:
-        """Publish an alert on the bus; returns it."""
-        alert = Alert(
-            attack=attack,
-            timestamp=timestamp,
-            detected_by=detected_by,
-            kalis_node=self.node_id,
-            suspects=tuple(suspects),
-            victim=victim,
-            confidence=confidence,
-            details=details if details is not None else {},
-        )
-        self.alerts_raised += 1
-        self.bus.publish(ALERT_TOPIC, alert)
-        return alert
 
 
 class KalisModule:
@@ -225,9 +199,65 @@ class SensingModule(KalisModule):
 
 
 class DetectionModule(KalisModule):
-    """Analyzes traffic + knowledge and raises alerts."""
+    """Analyzes traffic + knowledge and raises alerts.
+
+    :meth:`alert` is the only way a detection module raises one.  It
+    owns the cooldown: each subclass sets ``self.cooldown`` (its
+    ``cooldown`` parameter) and names the key an alert is rate-limited
+    on — a victim, a suspect, a suspect pair, or ``None`` for one
+    module-wide cooldown.
+    """
 
     KIND = "detection"
+
+    def __init__(self, params: Optional[Dict[str, Any]] = None) -> None:
+        super().__init__(params)
+        #: When each cooldown key last alerted (simulated seconds).
+        self._last_alert_at: Dict[Hashable, float] = {}
+
+    def cooling(self, key: Hashable, now: float) -> bool:
+        """Would an alert on ``key`` at ``now`` be suppressed?
+
+        The same test :meth:`alert` runs, without recording anything, so
+        a module can skip costly evidence gathering early.
+        """
+        last = self._last_alert_at.get(key)
+        return last is not None and now - last < self.cooldown
+
+    def alert(
+        self,
+        key: Hashable,
+        now: float,
+        suspects: Iterable[NodeId] = (),
+        victim: Optional[NodeId] = None,
+        confidence: float = 1.0,
+        details: Optional[Dict[str, Any]] = None,
+        attack: Optional[str] = None,
+    ) -> Optional[Alert]:
+        """Publish an alert on ``key`` unless the key is cooling down.
+
+        Returns None while ``now - last < self.cooldown`` for the key;
+        otherwise records ``now`` as the key's last alert and publishes
+        an :class:`Alert` on :data:`ALERT_TOPIC`.  ``attack`` defaults to
+        the module's first :attr:`DETECTS` entry; ``detected_by``,
+        ``kalis_node`` and ``timestamp`` come from the module, its
+        context and ``now``.
+        """
+        if self.cooling(key, now):
+            return None
+        self._last_alert_at[key] = now
+        alert = Alert(
+            attack=attack if attack is not None else self.DETECTS[0],
+            timestamp=now,
+            detected_by=self.NAME,
+            kalis_node=self.ctx.node_id,
+            suspects=tuple(suspects),
+            victim=victim,
+            confidence=confidence,
+            details=details if details is not None else {},
+        )
+        self.ctx.bus.publish(ALERT_TOPIC, alert)
+        return alert
 
 
 def _deep_sizeof(obj: Any, exclude: set, _depth: int = 0) -> int:

@@ -6,6 +6,9 @@ from collections import deque
 from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.net.packets.base import Medium, Packet
+from repro.net.packets.ctp import CtpDataFrame
+from repro.net.packets.ieee802154 import Ieee802154Frame
+from repro.net.packets.zigbee import ZigbeeKind, ZigbeePacket
 from repro.util.ids import NodeId
 
 #: Knowgget-safe sub-label for each medium (labels use dots for
@@ -33,6 +36,33 @@ def link_destination(packet: Packet) -> Optional[NodeId]:
     """Link-layer destination of the outermost addressed layer, if any."""
     destination = getattr(packet, "dst", None)
     return destination if isinstance(destination, NodeId) else None
+
+
+def own_sequence(mac: Ieee802154Frame) -> Optional[int]:
+    """The sequence number a transmitter stamps on data it originated.
+
+    CTP data whose origin is the transmitter carries ``seqno``; ZigBee
+    mesh data whose NWK source is the transmitter carries ``seq``.
+    Relayed and non-data frames give None.
+    """
+    inner = mac.payload
+    if isinstance(inner, CtpDataFrame) and inner.origin == mac.src:
+        return inner.seqno
+    if (
+        isinstance(inner, ZigbeePacket)
+        and inner.zigbee_kind is ZigbeeKind.DATA
+        and inner.src == mac.src
+    ):
+        return inner.seq
+    return None
+
+
+def mostly_monotone(sequence: List[int], tolerance: float = 0.2) -> bool:
+    """True when at most ``tolerance`` of adjacent steps decrease."""
+    if len(sequence) < 2:
+        return True
+    decreases = sum(1 for a, b in zip(sequence, sequence[1:]) if b < a)
+    return decreases <= tolerance * (len(sequence) - 1)
 
 
 class SlidingWindowCounter:

@@ -65,7 +65,6 @@ class DataAlterationModule(DetectionModule):
         self._explained = SlidingWindowCounter(self.window)
         self._heard_rssi = EwmaTracker(alpha=0.3)
         self._last_heard: Dict[NodeId, float] = {}
-        self._last_alert_at: Dict[NodeId, float] = {}
 
     def on_deactivate(self) -> None:
         self._ingress = SlidingWindowCounter(self.ingress_window)
@@ -129,14 +128,9 @@ class DataAlterationModule(DetectionModule):
             # Mostly-explained relays: the unexplained ones are frames
             # whose ingress this sniffer simply missed, not tampering.
             return
-        last = self._last_alert_at.get(forwarder)
-        if last is not None and now - last < self.cooldown:
-            return
-        self._last_alert_at[forwarder] = now
-        self.ctx.raise_alert(
-            attack="data_alteration",
-            detected_by=self.NAME,
-            timestamp=now,
+        self.alert(
+            forwarder,
+            now,
             suspects=(forwarder,),
             confidence=0.85,
             details={"fabricated_relays_in_window": count},

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from collections import OrderedDict
-from typing import Dict, Set, Tuple
+from typing import Set, Tuple
 
 from repro.core.modules.base import DetectionModule, Requirement
 from repro.core.modules.common import EwmaTracker, SlidingWindowCounter
@@ -79,7 +79,6 @@ class ForwardingMisbehaviorModule(DetectionModule):
         self._roots: Set[NodeId] = set()
         self._first_capture_at: float = float("inf")
         self._heard_rssi = EwmaTracker(alpha=0.3)
-        self._last_alert_at: Dict[NodeId, float] = {}
 
     def on_deactivate(self) -> None:
         self._pending.clear()
@@ -198,8 +197,7 @@ class ForwardingMisbehaviorModule(DetectionModule):
         drops = self._drops.count(forwarder)
         if drops < self.detection_thresh:
             return
-        last = self._last_alert_at.get(forwarder)
-        if last is not None and now - last < self.cooldown:
+        if self.cooling(forwarder, now):
             return
         forwards = self._forwards.count(forwarder)
         ratio = drops / max(drops + forwards, 1)
@@ -214,13 +212,11 @@ class ForwardingMisbehaviorModule(DetectionModule):
             # Collective knowledge already explained this node's silence
             # as a wormhole entry; a blackhole verdict would be wrong.
             return
-        self._last_alert_at[forwarder] = now
         attack = "blackhole" if ratio >= self.blackhole_ratio else "selective_forwarding"
         self.ctx.kb.put("ForwardingAnomaly", True, entity=forwarder, collective=True)
-        self.ctx.raise_alert(
-            attack=attack,
-            detected_by=self.NAME,
-            timestamp=now,
+        self.alert(
+            forwarder,
+            now,
             suspects=(forwarder,),
             confidence=min(0.6 + 0.4 * ratio, 1.0),
             details={
@@ -228,6 +224,7 @@ class ForwardingMisbehaviorModule(DetectionModule):
                 "forwards_in_window": forwards,
                 "drop_ratio": round(ratio, 3),
             },
+            attack=attack,
         )
 
 

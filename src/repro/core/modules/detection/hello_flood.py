@@ -12,15 +12,12 @@ signature, demonstrating Kalis' hybrid detection.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.core.modules.base import DetectionModule, Requirement
 from repro.core.modules.common import SlidingWindowCounter
 from repro.core.modules.registry import register_module
 from repro.net.packets.base import PacketKind
 from repro.net.packets.ieee802154 import Ieee802154Frame
 from repro.sim.capture import Capture
-from repro.util.ids import NodeId
 
 #: Kinds counted as routing chatter.
 ROUTING_KINDS = frozenset(
@@ -48,7 +45,6 @@ class HelloFloodModule(DetectionModule):
         self.window = self.param("window", 10.0)
         self.cooldown = self.param("cooldown", 20.0)
         self._beacons = SlidingWindowCounter(self.window)
-        self._last_alert_at: Dict[NodeId, float] = {}
 
     def on_deactivate(self) -> None:
         self._beacons = SlidingWindowCounter(self.window)
@@ -65,14 +61,9 @@ class HelloFloodModule(DetectionModule):
         observed_rate = self._beacons.rate(mac.src)
         if observed_rate < self.rate:
             return
-        last = self._last_alert_at.get(mac.src)
-        if last is not None and now - last < self.cooldown:
-            return
-        self._last_alert_at[mac.src] = now
-        self.ctx.raise_alert(
-            attack="hello_flood",
-            detected_by=self.NAME,
-            timestamp=now,
+        self.alert(
+            mac.src,
+            now,
             suspects=(mac.src,),
             confidence=0.9,
             details={

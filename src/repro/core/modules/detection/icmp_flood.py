@@ -56,7 +56,6 @@ class IcmpFloodModule(DetectionModule):
         self._reply_senders: Dict[str, Set[NodeId]] = {}
         self._flood_rssi = EwmaTracker(alpha=0.3)
         self._victim_link: Dict[str, NodeId] = {}
-        self._last_alert_at: Dict[str, float] = {}
 
     def on_deactivate(self) -> None:
         self._replies = SlidingWindowCounter(self.window)
@@ -87,16 +86,12 @@ class IcmpFloodModule(DetectionModule):
     def _evaluate(self, victim_ip: str, now: float) -> None:
         if self._replies.count(victim_ip) < self.threshold:
             return
-        last = self._last_alert_at.get(victim_ip)
-        if last is not None and now - last < self.cooldown:
-            return
-        self._last_alert_at[victim_ip] = now
-        suspects = self._disambiguated_suspects(victim_ip)
-        self.ctx.raise_alert(
-            attack="icmp_flood",
-            detected_by=self.NAME,
-            timestamp=now,
-            suspects=suspects,
+        if self.cooling(victim_ip, now):
+            return  # most replies of a flood land here: skip the evidence
+        self.alert(
+            victim_ip,
+            now,
+            suspects=self._disambiguated_suspects(victim_ip),
             victim=self._victim_link.get(victim_ip),
             confidence=0.95,
             details={

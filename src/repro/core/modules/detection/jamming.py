@@ -51,7 +51,6 @@ class JammingModule(DetectionModule):
         self.cooldown = self.param("cooldown", 30.0)
         self._timestamps: list = []
         self._baseline_rate: Optional[float] = None
-        self._last_alert_at = float("-inf")
 
     def on_deactivate(self) -> None:
         self._timestamps.clear()
@@ -86,14 +85,11 @@ class JammingModule(DetectionModule):
         self.ctx.kb.put("ChannelDegraded", collapsed)
         if not collapsed:
             return
-        if now - self._last_alert_at < self.cooldown:
-            return
-        self._last_alert_at = now
-        self.ctx.raise_alert(
-            attack="jamming",
-            detected_by=self.NAME,
-            timestamp=now,
-            suspects=(),  # a sniffer cannot localise a jammer
+        # One cooldown for the whole channel, and no suspects: a sniffer
+        # cannot localise a jammer.
+        self.alert(
+            None,
+            now,
             confidence=0.7,
             details={
                 "live_rate_pps": round(live_rate, 2),

@@ -15,10 +15,9 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.core.modules.base import DetectionModule, Requirement
+from repro.core.modules.common import mostly_monotone, own_sequence
 from repro.core.modules.registry import register_module
-from repro.net.packets.ctp import CtpDataFrame
 from repro.net.packets.ieee802154 import Ieee802154Frame
-from repro.net.packets.zigbee import ZigbeeKind, ZigbeePacket
 from repro.sim.capture import Capture
 from repro.util.ids import NodeId
 
@@ -45,7 +44,6 @@ class ReplicationMobileModule(DetectionModule):
         self.history = self.param("history", 24)
         self.cooldown = self.param("cooldown", 25.0)
         self._sequences: Dict[NodeId, Deque[int]] = {}
-        self._last_alert_at: Dict[NodeId, float] = {}
 
     def on_deactivate(self) -> None:
         self._sequences.clear()
@@ -54,40 +52,23 @@ class ReplicationMobileModule(DetectionModule):
         mac = capture.packet.find_layer(Ieee802154Frame)
         if mac is None:
             return
-        seq = self._claimed_sequence(mac)
+        seq = own_sequence(mac)
         if seq is None:
             return
         history = self._sequences.setdefault(mac.src, deque(maxlen=self.history))
         history.append(seq)
         self._evaluate(mac.src, capture.timestamp)
 
-    @staticmethod
-    def _claimed_sequence(mac: Ieee802154Frame) -> Optional[int]:
-        inner = mac.payload
-        if isinstance(inner, CtpDataFrame) and inner.origin == mac.src:
-            return inner.seqno
-        if (
-            isinstance(inner, ZigbeePacket)
-            and inner.zigbee_kind is ZigbeeKind.DATA
-            and inner.src == mac.src
-        ):
-            return inner.seq
-        return None
-
     def _evaluate(self, identity: NodeId, now: float) -> None:
-        last = self._last_alert_at.get(identity)
-        if last is not None and now - last < self.cooldown:
+        if self.cooling(identity, now):
             return
-        sequence = list(self._sequences[identity])
-        verdict = _dual_stream(sequence, jump=self.jump,
+        verdict = _dual_stream(list(self._sequences[identity]), jump=self.jump,
                                min_alternations=self.min_alternations)
         if verdict is None:
             return
-        self._last_alert_at[identity] = now
-        self.ctx.raise_alert(
-            attack="replication",
-            detected_by=self.NAME,
-            timestamp=now,
+        self.alert(
+            identity,
+            now,
             suspects=(identity,),
             confidence=0.85,
             details={
@@ -115,10 +96,8 @@ def _dual_stream(sequence: List[int], jump: int, min_alternations: int) -> Optio
     high = [value for value in sequence if value >= midpoint]
     if len(low) < 3 or len(high) < 3:
         return None
-    for stream in (low, high):
-        decreases = sum(1 for a, b in zip(stream, stream[1:]) if b < a)
-        if decreases > 0.2 * (len(stream) - 1):
-            return None
+    if not (mostly_monotone(low) and mostly_monotone(high)):
+        return None
     alternations = 0
     previous_side = None
     for value in sequence:

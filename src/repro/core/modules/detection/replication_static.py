@@ -22,10 +22,9 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.modules.base import DetectionModule, Requirement
+from repro.core.modules.common import mostly_monotone, own_sequence
 from repro.core.modules.registry import register_module
-from repro.net.packets.ctp import CtpDataFrame
 from repro.net.packets.ieee802154 import Ieee802154Frame
-from repro.net.packets.zigbee import ZigbeeKind, ZigbeePacket
 from repro.sim.capture import Capture
 from repro.util.ids import NodeId
 
@@ -60,7 +59,6 @@ class ReplicationStaticModule(DetectionModule):
         self.history = self.param("history", 24)
         self.cooldown = self.param("cooldown", 25.0)
         self._samples: Dict[NodeId, Deque[Sample]] = {}
-        self._last_alert_at: Dict[NodeId, float] = {}
 
     def on_deactivate(self) -> None:
         self._samples.clear()
@@ -69,36 +67,18 @@ class ReplicationStaticModule(DetectionModule):
         mac = capture.packet.find_layer(Ieee802154Frame)
         if mac is None:
             return
-        identity, seq = self._identity_and_seq(mac)
-        if identity is None:
+        seq = own_sequence(mac)
+        if seq is None:
             return
-        history = self._samples.setdefault(
-            identity, deque(maxlen=self.history)
-        )
+        history = self._samples.setdefault(mac.src, deque(maxlen=self.history))
         history.append((capture.timestamp, capture.rssi, seq))
-        self._evaluate(identity, capture.timestamp)
-
-    @staticmethod
-    def _identity_and_seq(mac: Ieee802154Frame) -> Tuple[Optional[NodeId], Optional[int]]:
-        """The claimed identity and its protocol-level sequence number."""
-        inner = mac.payload
-        if isinstance(inner, CtpDataFrame) and inner.origin == mac.src:
-            return mac.src, inner.seqno
-        if (
-            isinstance(inner, ZigbeePacket)
-            and inner.zigbee_kind is ZigbeeKind.DATA
-            and inner.src == mac.src
-        ):
-            return mac.src, inner.seq
-        return None, None
+        self._evaluate(mac.src, capture.timestamp)
 
     def _evaluate(self, identity: NodeId, now: float) -> None:
-        last = self._last_alert_at.get(identity)
-        if last is not None and now - last < self.cooldown:
+        if self.cooling(identity, now):
             return
-        history = list(self._samples[identity])
         verdict = _bimodal_interleaved(
-            history,
+            list(self._samples[identity]),
             gap=self.gap,
             min_each=self.min_samples,
             min_flips=self.min_flips,
@@ -107,11 +87,9 @@ class ReplicationStaticModule(DetectionModule):
         if verdict is None:
             return
         low_mean, high_mean, flips = verdict
-        self._last_alert_at[identity] = now
-        self.ctx.raise_alert(
-            attack="replication",
-            detected_by=self.NAME,
-            timestamp=now,
+        self.alert(
+            identity,
+            now,
             suspects=(identity,),
             confidence=0.9,
             details={
@@ -172,18 +150,8 @@ def _bimodal_interleaved(
         return None
     # Two live transmitters each keep a locally monotone counter.
     for cluster in (low, high):
-        if not _mostly_monotone([s[2] for s in cluster if s[2] is not None]):
+        if not mostly_monotone([s[2] for s in cluster if s[2] is not None]):
             return None
     low_mean = sum(s[1] for s in low) / len(low)
     high_mean = sum(s[1] for s in high) / len(high)
     return low_mean, high_mean, flips
-
-
-def _mostly_monotone(sequence: List[int], tolerance: float = 0.2) -> bool:
-    """True when at most ``tolerance`` of adjacent steps decrease."""
-    if len(sequence) < 2:
-        return True
-    decreases = sum(
-        1 for a, b in zip(sequence, sequence[1:]) if b < a
-    )
-    return decreases <= tolerance * (len(sequence) - 1)

@@ -30,8 +30,7 @@ from repro.util.ids import NodeId
 class SinkholeModule(DetectionModule):
     """Detects forged root-quality route advertisements.
 
-    Parameters: ``rootWindow`` (default 15 s to learn the legitimate
-    root), ``minAdverts`` (default 2 forged advertisements before
+    Parameters: ``minAdverts`` (default 2 forged advertisements before
     alerting), ``cooldown`` (default 30 s per suspect).
     """
 
@@ -42,26 +41,21 @@ class SinkholeModule(DetectionModule):
 
     def __init__(self, params=None) -> None:
         super().__init__(params)
-        self.root_window = self.param("rootWindow", 15.0)
         self.min_adverts = self.param("minAdverts", 2)
         self.cooldown = self.param("cooldown", 30.0)
-        self._first_capture_at: Optional[float] = None
         self._ctp_root: Optional[NodeId] = None
         self._rpl_root: Optional[NodeId] = None
         self._forged_counts: Dict[NodeId, int] = {}
-        self._last_alert_at: Dict[NodeId, float] = {}
 
     def on_deactivate(self) -> None:
         self._forged_counts.clear()
         self._last_alert_at.clear()
 
     def process(self, capture: Capture) -> None:
-        now = capture.timestamp
-        if self._first_capture_at is None:
-            self._first_capture_at = now
         mac = capture.packet.find_layer(Ieee802154Frame)
         if mac is None:
             return
+        now = capture.timestamp
         inner = mac.payload
         if isinstance(inner, CtpRoutingFrame) and inner.etx == 0:
             self._observe_root_claim(mac.src, "ctp", now)
@@ -72,18 +66,10 @@ class SinkholeModule(DetectionModule):
     def _observe_root_claim(self, claimant: NodeId, protocol: str, now: float) -> None:
         root_attr = "_ctp_root" if protocol == "ctp" else "_rpl_root"
         established = getattr(self, root_attr)
-        in_learning_window = (
-            self._first_capture_at is not None
-            and now - self._first_capture_at <= self.root_window
-        )
         if established is None:
-            if in_learning_window:
-                setattr(self, root_attr, claimant)
-            else:
-                # Root claim appearing only after the learning window on
-                # a network whose root was never heard: suspicious, but
-                # without a baseline we accept the first claimant.
-                setattr(self, root_attr, claimant)
+            # The first identity heard claiming root quality is taken as
+            # the legitimate root.
+            setattr(self, root_attr, claimant)
             return
         if claimant == established:
             return
@@ -92,14 +78,9 @@ class SinkholeModule(DetectionModule):
         self._forged_counts[claimant] = count
         if count < self.min_adverts:
             return
-        last = self._last_alert_at.get(claimant)
-        if last is not None and now - last < self.cooldown:
-            return
-        self._last_alert_at[claimant] = now
-        self.ctx.raise_alert(
-            attack="sinkhole",
-            detected_by=self.NAME,
-            timestamp=now,
+        self.alert(
+            claimant,
+            now,
             suspects=(claimant,),
             confidence=0.9,
             details={

@@ -52,7 +52,6 @@ class SmurfModule(DetectionModule):
         #: victim_ip -> link-layer sender of spoofed Echo Requests.
         self._request_forgers: Dict[str, NodeId] = {}
         self._victim_link: Dict[str, NodeId] = {}
-        self._last_alert_at: Dict[str, float] = {}
 
     def on_deactivate(self) -> None:
         self._replies = SlidingWindowCounter(self.window)
@@ -93,17 +92,13 @@ class SmurfModule(DetectionModule):
     def _evaluate(self, victim_ip: str, now: float) -> None:
         if self._replies.count(victim_ip) < self.threshold:
             return
-        last = self._last_alert_at.get(victim_ip)
-        if last is not None and now - last < self.cooldown:
-            return
-        self._last_alert_at[victim_ip] = now
+        if self.cooling(victim_ip, now):
+            return  # most replies of a flood land here: skip the evidence
         victim_link = self._victim_link.get(victim_ip)
-        suspects = self._suspects(victim_ip, victim_link)
-        self.ctx.raise_alert(
-            attack="smurf",
-            detected_by=self.NAME,
-            timestamp=now,
-            suspects=suspects,
+        self.alert(
+            victim_ip,
+            now,
+            suspects=self._suspects(victim_ip, victim_link),
             victim=victim_link,
             confidence=0.9,
             details={

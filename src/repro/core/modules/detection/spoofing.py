@@ -56,7 +56,6 @@ class SpoofingModule(DetectionModule):
         self._rssi_baselines = EwmaTracker(alpha=0.1)
         self._seq_history: Dict[NodeId, Deque[int]] = {}
         self._outlier_seqs: Dict[NodeId, List[int]] = {}
-        self._last_alert_at: Dict[NodeId, float] = {}
 
     def on_deactivate(self) -> None:
         self._seq_history.clear()
@@ -102,14 +101,9 @@ class SpoofingModule(DetectionModule):
             return
         if _coherent_stream(outliers):
             return  # a live second stream is replication, not spoofing
-        last = self._last_alert_at.get(identity)
-        if last is not None and now - last < self.cooldown:
-            return
-        self._last_alert_at[identity] = now
-        self.ctx.raise_alert(
-            attack="spoofing",
-            detected_by=self.NAME,
-            timestamp=now,
+        self.alert(
+            identity,
+            now,
             suspects=(identity,),
             confidence=0.8,
             details={

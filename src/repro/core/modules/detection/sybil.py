@@ -60,7 +60,6 @@ class SybilModule(DetectionModule):
         self._identity_bursts = SlidingWindowCounter(window=60.0)
         #: When the last burst was counted (one long burst counts once).
         self._last_burst_at: float = float("-inf")
-        self._last_alert_at: float = float("-inf")
 
     def on_deactivate(self) -> None:
         self._recent.clear()
@@ -105,14 +104,10 @@ class SybilModule(DetectionModule):
         )
         if len(repeat_offenders) < self.min_identities:
             return
-        if now - self._last_alert_at < self.cooldown:
-            return
-        self._last_alert_at = now
-        self.ctx.raise_alert(
-            attack="sybil",
-            detected_by=self.NAME,
-            timestamp=now,
-            suspects=tuple(repeat_offenders),
+        self.alert(
+            None,  # one cooldown for the whole network
+            now,
+            suspects=repeat_offenders,
             confidence=0.85,
             details={
                 "cluster_size": len(repeat_offenders),

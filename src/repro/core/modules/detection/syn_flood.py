@@ -50,7 +50,6 @@ class SynFloodModule(DetectionModule):
         self._acks = SlidingWindowCounter(self.window)
         self._syn_senders: Dict[str, Set[NodeId]] = {}
         self._victim_link: Dict[str, NodeId] = {}
-        self._last_alert_at: Dict[str, float] = {}
 
     def on_deactivate(self) -> None:
         self._syns = SlidingWindowCounter(self.window)
@@ -88,14 +87,9 @@ class SynFloodModule(DetectionModule):
         completions = self._acks.count(victim_ip)
         if syn_count < self.ratio * max(completions, 1):
             return
-        last = self._last_alert_at.get(victim_ip)
-        if last is not None and now - last < self.cooldown:
-            return
-        self._last_alert_at[victim_ip] = now
-        self.ctx.raise_alert(
-            attack="syn_flood",
-            detected_by=self.NAME,
-            timestamp=now,
+        self.alert(
+            victim_ip,
+            now,
             suspects=tuple(sorted(self._syn_senders.get(victim_ip, ()))),
             victim=self._victim_link.get(victim_ip),
             confidence=0.9,

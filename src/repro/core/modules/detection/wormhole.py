@@ -23,7 +23,7 @@ misclassifies this attack.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.core.knowledge import Knowgget
 from repro.core.modules.base import DetectionModule, Requirement
@@ -63,7 +63,6 @@ class WormholeModule(DetectionModule):
         self._unexplained = SlidingWindowCounter(60.0)
         self._explained = SlidingWindowCounter(60.0)
         self._source_anomalies: Set[NodeId] = set()
-        self._last_alert_at: Dict[Tuple[NodeId, NodeId], float] = {}
         self._kb_subscription = None
 
     def bind(self, ctx) -> None:
@@ -139,18 +138,15 @@ class WormholeModule(DetectionModule):
                 if entry == exit_node:
                     continue
                 pair = (entry, exit_node)
-                last = self._last_alert_at.get(pair)
-                if last is not None and now - last < self.cooldown:
+                if self.cooling(pair, now):
                     continue
-                self._last_alert_at[pair] = now
                 # Record the refined classification so the watchdog stops
                 # re-reporting the entry node as a plain blackhole.
                 self.ctx.kb.put("WormholeInvolving", True, entity=entry)
                 self.ctx.kb.put("WormholeInvolving", True, entity=exit_node)
-                self.ctx.raise_alert(
-                    attack="wormhole",
-                    detected_by=self.NAME,
-                    timestamp=now,
+                self.alert(
+                    pair,
+                    now,
                     suspects=pair,
                     confidence=0.85,
                     details={

@@ -122,6 +122,33 @@ class TestCheckpointService:
         assert resumed.deployment.now == pytest.approx(8.0)
         assert good.exists()
 
+    def test_resume_or_build_skips_snapshot_that_will_not_restore(self, tmp_path):
+        """A newer snapshot whose digest verifies but whose payload does
+        not unpickle costs one interval: the older one is restored."""
+        store = SnapshotStore(tmp_path)
+        service = CheckpointService(store, _builder()(), checkpoint_interval=5.0)
+        service.deployment.run_to(8.0)
+        service.checkpoint()
+        bad = store.save(b"not a pickle", service.deployment.meta())
+
+        resumed = CheckpointService.resume_or_build(
+            store, lambda: pytest.fail("the older snapshot restores")
+        )
+        assert resumed.resumed
+        assert resumed.deployment.now == pytest.approx(8.0)
+        assert [path for path, _reason in store.skipped] == [bad]
+        assert "does not unpickle" in store.skipped[0][1]
+
+    def test_resume_or_build_builds_when_no_snapshot_restores(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        first = store.save(b"not a pickle")
+        second = store.save(b"still not a pickle")
+
+        service = CheckpointService.resume_or_build(store, _builder())
+        assert not service.resumed
+        assert service.deployment.now == 0.0
+        assert [path for path, _reason in store.skipped] == [second, first]
+
     def test_interval_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointService(
@@ -197,6 +224,12 @@ class TestServe:
         assert not report.resumed
         assert report.canonical_path is not None
         assert Path(report.canonical_path).read_text().startswith("t=")
+
+    def test_serve_reports_fresh_when_no_snapshot_restores(self, tmp_path):
+        SnapshotStore(tmp_path).save(b"not a pickle")
+        report = serve(tmp_path, _builder(), checkpoint_interval=10.0)
+        assert report.outcome == COMPLETED
+        assert not report.resumed
 
     def test_serve_kill_then_resume_matches_uninterrupted(self, tmp_path):
         plain = serve(tmp_path / "plain", _builder(), checkpoint_interval=8.0)

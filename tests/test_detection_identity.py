@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.datastore import DataStore
 from repro.core.knowledge import KnowledgeBase
 from repro.core.modules.base import ModuleContext
+from repro.core.modules.common import mostly_monotone
 from repro.core.modules.detection.replication_mobile import (
     ReplicationMobileModule,
     _dual_stream,
@@ -14,7 +15,6 @@ from repro.core.modules.detection.replication_mobile import (
 from repro.core.modules.detection.replication_static import (
     ReplicationStaticModule,
     _bimodal_interleaved,
-    _mostly_monotone,
 )
 from repro.core.modules.detection.spoofing import SpoofingModule
 from repro.core.modules.detection.sybil import SybilModule
@@ -142,10 +142,10 @@ class TestBimodalFunction:
         )
 
     def test_mostly_monotone(self):
-        assert _mostly_monotone([1, 2, 3, 4])
-        assert _mostly_monotone([])
-        assert _mostly_monotone([5])
-        assert not _mostly_monotone([5, 1, 4, 2, 3, 1])
+        assert mostly_monotone([1, 2, 3, 4])
+        assert mostly_monotone([])
+        assert mostly_monotone([5])
+        assert not mostly_monotone([5, 1, 4, 2, 3, 1])
 
     @settings(max_examples=50)
     @given(st.lists(st.floats(-90, -30, allow_nan=False), min_size=0, max_size=30))

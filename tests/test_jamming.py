@@ -58,6 +58,17 @@ class TestJammingNode:
         sim.remove_node(NodeId("jam"))
         assert sim.medium(Medium.IEEE_802_15_4).interference_loss_probability == 0.0
 
+    def test_revocation_mid_burst_closes_the_logged_burst(self):
+        sim = Simulator(seed=72)
+        jammer = sim.add_node(
+            JammingNode(NodeId("jam"), (0.0, 0.0), burst_duration=10.0,
+                        burst_interval=30.0, start_delay=1.0, rng=SeededRng(2))
+        )
+        sim.run(3.0)
+        sim.remove_node(NodeId("jam"))
+        sim.run(60.0)  # past the revoked burst's scheduled end
+        assert [(i.start, i.end) for i in jammer.log.instances] == [(1.0, 3.0)]
+
     def test_jamming_actually_destroys_traffic(self):
         def delivered(with_jammer):
             sim = Simulator(seed=73)

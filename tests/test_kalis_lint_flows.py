@@ -557,7 +557,7 @@ class TestKL105DeterminismTaint:
                 class Alarmist:
                     def go(self):
                         token = os.urandom(8)
-                        self.ctx.raise_alert("spoofing", token)
+                        self.alert(None, 0.0, details=token)
                         self.kb.put("Token", token)
                 """,
             },

@@ -1,10 +1,14 @@
 """Tests for the module base classes, requirements, registry and manager."""
 
+import math
+
 import pytest
 
+from repro.core.alerts import ALERT_TOPIC
 from repro.core.datastore import DataStore
 from repro.core.knowledge import KnowledgeBase
 from repro.core.manager import ModuleManager
+from repro.core.modules import detection
 from repro.core.modules.base import (
     DetectionModule,
     KalisModule,
@@ -245,11 +249,104 @@ class TestParamCoercion:
         assert module.param("c", False) is True
         assert module.param("missing", 7) == 7
 
-    def test_context_alert_counter(self):
-        bus = EventBus()
-        ctx = ModuleContext(
-            kb=KnowledgeBase(K, bus), datastore=DataStore(), bus=bus, node_id=K
+
+class _ToyDetector(DetectionModule):
+    NAME = "ToyDetector"
+    DETECTS = ("toy_attack", "worse_toy_attack")
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.cooldown = self.param("cooldown", 8.0)
+
+
+def bound_toy():
+    bus = EventBus()
+    published = []
+    bus.subscribe(ALERT_TOPIC, lambda event: published.append(event.payload))
+    module = _ToyDetector()
+    module.bind(
+        ModuleContext(kb=KnowledgeBase(K, bus), datastore=DataStore(), bus=bus, node_id=K)
+    )
+    return module, published
+
+
+class TestDetectionAlert:
+    """``DetectionModule.alert``: the one way a module raises an alert."""
+
+    def test_cooldown_boundary(self):
+        module, published = bound_toy()
+        assert module.alert("v", 1.0) is not None
+        assert module.alert("v", math.nextafter(9.0, 0.0)) is None
+        assert module.alert("v", 9.0) is not None
+        assert [alert.timestamp for alert in published] == [1.0, 9.0]
+
+    def test_keys_are_independent_and_none_is_a_key(self):
+        module, published = bound_toy()
+        assert module.alert("a", 1.0) is not None
+        assert module.alert("b", 1.0) is not None
+        assert module.alert(None, 2.0) is not None
+        assert module.alert("a", 3.0) is None
+        assert module.alert(None, 3.0) is None
+        assert module.alert(None, 10.0) is not None
+        assert len(published) == 4
+
+    def test_attack_defaults_to_first_detects_entry(self):
+        module, _ = bound_toy()
+        assert module.alert("a", 1.0).attack == "toy_attack"
+        assert module.alert("b", 1.0, attack="worse_toy_attack").attack == "worse_toy_attack"
+
+    def test_published_alert_carries_module_node_and_time(self):
+        module, published = bound_toy()
+        returned = module.alert(
+            "v", 4.5, suspects=[NodeId("m1")], victim=NodeId("m2"),
+            confidence=0.5, details={"n": 3},
         )
-        alert = ctx.raise_alert("x", detected_by="m", timestamp=1.0)
-        assert ctx.alerts_raised == 1
-        assert alert.kalis_node == K
+        assert published == [returned]
+        assert returned.detected_by == "ToyDetector"
+        assert returned.kalis_node == K
+        assert returned.timestamp == 4.5
+        assert returned.suspects == (NodeId("m1"),)
+        assert returned.victim == NodeId("m2")
+        assert returned.confidence == 0.5
+        assert returned.details == {"n": 3}
+        assert module.alert("w", 5.0).details == {}
+
+    def test_cooling_publishes_nothing_and_records_nothing(self):
+        module, published = bound_toy()
+        assert not module.cooling("v", 1.0)
+        assert not module.cooling("v", 1.0)  # the check recorded nothing
+        module.alert("v", 1.0)
+        assert module.cooling("v", 5.0)
+        assert module.alert("v", 5.0) is None
+        assert len(published) == 1
+        assert not module.cooling("v", 9.0)
+        assert not module.cooling("other", 5.0)
+
+
+#: Detection modules whose ``on_deactivate`` forgets their cooldowns;
+#: the rest keep them across a deactivation.
+FORGET_COOLDOWN = {
+    "IcmpFloodModule", "SmurfModule", "SynFloodModule", "HelloFloodModule",
+    "SinkholeModule", "SpoofingModule", "ForwardingMisbehaviorModule",
+    "DataAlterationModule",
+}
+KEEP_COOLDOWN = {
+    "ReplicationStaticModule", "ReplicationMobileModule", "WormholeModule",
+    "SybilModule", "JammingModule",
+}
+
+
+class TestCooldownOnDeactivate:
+    def test_every_detection_module_is_pinned(self):
+        assert set(detection.__all__) == FORGET_COOLDOWN | KEEP_COOLDOWN
+
+    @pytest.mark.parametrize("name", sorted(FORGET_COOLDOWN | KEEP_COOLDOWN))
+    def test_deactivation_forgets_or_keeps_the_cooldown(self, name):
+        module = create_module(name)
+        bus = EventBus()
+        module.bind(
+            ModuleContext(kb=KnowledgeBase(K, bus), datastore=DataStore(), bus=bus, node_id=K)
+        )
+        assert module.alert("key", 100.0) is not None
+        module.on_deactivate()
+        assert module.cooling("key", 101.0) == (name in KEEP_COOLDOWN)
