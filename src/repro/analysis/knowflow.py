@@ -101,9 +101,6 @@ class KnowFlow:
                     return True
         return False
 
-    def has_dynamic_write(self) -> bool:
-        return any(site.pattern[0] == "dynamic" for site in self.writes)
-
     def has_dynamic_publish(self) -> bool:
         return any(site.pattern[0] == "dynamic" for site in self.publishes)
 

@@ -2,7 +2,7 @@
 
 These rules run on the :mod:`repro.analysis.procgraph` whole-program
 boundary inventory.  They are the static gate for the fleet/SIEM/ckpt
-layer (ROADMAP item 1, DESIGN.md §§9–10): three hand-maintained wire
+layer (DESIGN.md §§9–10): three hand-maintained wire
 contracts and a fork-based fleet whose exactly-once merge guarantees
 previously had only runtime tests.
 

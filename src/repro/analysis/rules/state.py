@@ -1,9 +1,9 @@
 """KL201–KL205 — checkpoint-safety and shard-isolation rules.
 
 These rules run on the :mod:`repro.analysis.stategraph` whole-program
-state inventory.  They are the static gate for ROADMAP items 1 and 5: a
-sharded multi-site fleet and a resumable service mode with
-KB/DataStore/RNG snapshot-restore.
+state inventory.  They are the static gate for a sharded multi-site fleet (DESIGN.md §10) and a
+resumable service mode with KB/DataStore/RNG snapshot-restore
+(DESIGN.md §9).
 
 - **KL201** — hidden mutable state: a module-level mutable binding that
   some code mutates, or a class-body mutable display shared by every

@@ -45,7 +45,7 @@ from repro.analysis.callgraph import CallGraph, ClassInfo, FunctionInfo, scanned
 from repro.analysis.project import Project, SourceFile
 
 #: Class names whose instances are snapshotted by the checkpoint/restore
-#: service mode (ROADMAP items 1 and 5).  Everything reachable from one
+#: service mode and the fleet (DESIGN.md §§9–10).  Everything reachable from one
 #: of these must be picklable or carry a rebuild hook.
 CHECKPOINT_ROOTS = (
     "CollectiveKnowledgeNetwork",

@@ -1,7 +1,7 @@
 """``repro.ckpt`` — checkpoint/restore for resumable Kalis deployments.
 
 Turns the one-shot experiment runner into an operable service
-(ROADMAP item 5): a whole deployment — simulator clock and event
+(DESIGN.md §9): a whole deployment — simulator clock and event
 queue, Kalis nodes (knowledge base, data-store ring, module
 activation/health tables, supervisor breaker state), peer-link retry
 budgets/outage windows, RNG substreams, telemetry — snapshots to an

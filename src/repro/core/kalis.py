@@ -175,11 +175,15 @@ class KalisNode:
         """Restore hook: recompute this node's derived caches.
 
         The node's own layers keep little derived state — the data
-        store's timestamp ring and the manager's requirement index are
-        the caches rebuilt here; the rest (knowledge base, activation
-        and forced-active tables, supervisor breaker state, alert sink,
-        dead letters) is primary state carried verbatim by the snapshot.
+        store's timestamp ring, the manager's requirement index and
+        route sequence, the knowledge base's memoised keys and the bus's
+        resolved targets are the caches rebuilt or dropped here; the
+        rest (knowledge base, activation and forced-active tables,
+        supervisor breaker state, alert sink, dead letters) is primary
+        state carried verbatim by the snapshot.
         """
+        self.bus.rebuild_derived_state()
+        self.kb.rebuild_derived_state()
         self.datastore.rebuild_derived_state()
         self.manager.rebuild_derived_state()
 

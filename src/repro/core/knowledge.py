@@ -128,6 +128,9 @@ class KnowledgeBase:
         self.owner = owner
         self.bus = bus if bus is not None else EventBus()
         self._store: Dict[str, Knowgget] = {}
+        #: (label, entity) -> the encoded key of a local knowgget, filled
+        #: by :meth:`put` once the pair has been validated.
+        self._key_memo: Dict[Tuple[str, Optional[NodeId]], str] = {}
         #: Callbacks invoked with every locally-created collective
         #: knowgget change; the collective-sync layer registers here.
         self._collective_listeners: List[Callable[[Knowgget], None]] = []
@@ -146,16 +149,26 @@ class KnowledgeBase:
 
         Publishing is change-driven: writing an identical value is a
         no-op (no event), which keeps periodic sensing modules from
-        flooding the bus.
+        flooding the bus.  Each (label, entity) pair is encoded and
+        validated on its first write only; an invalid label is never
+        memoised, so it raises on every attempt.
         """
+        pair = (label, entity)
+        key = self._key_memo.get(pair)
+        if key is None:
+            key = self._key_memo[pair] = encode_key(self.owner, label, entity)
+        encoded = encode_value(value)
+        existing = self._store.get(key)
+        if existing is not None and existing.value == encoded:
+            return existing  # unchanged; no event
         knowgget = Knowgget(
             label=label,
-            value=encode_value(value),
+            value=encoded,
             creator=self.owner,
             entity=entity,
             collective=collective,
         )
-        return self._insert(knowgget, from_remote=False)
+        return self._commit(key, knowgget, from_remote=False)
 
     def put_static(self, label: str, value: PrimitiveValue,
                    entity: Optional[NodeId] = None) -> Knowgget:
@@ -180,7 +193,7 @@ class KnowledgeBase:
             return False
         if knowgget.creator == self.owner:
             return False  # nobody may overwrite our own knowledge
-        self._insert(knowgget, from_remote=True)
+        self._insert(knowgget.key, knowgget, from_remote=True)
         return True
 
     def remove(self, label: str, entity: Optional[NodeId] = None) -> bool:
@@ -193,11 +206,14 @@ class KnowledgeBase:
         self.bus.publish(KNOWLEDGE_TOPIC_PREFIX + key, None)
         return True
 
-    def _insert(self, knowgget: Knowgget, from_remote: bool) -> Knowgget:
-        key = knowgget.key
+    def _insert(self, key: str, knowgget: Knowgget, from_remote: bool) -> Knowgget:
+        """Store ``knowgget`` under ``key`` unless it holds that value already."""
         existing = self._store.get(key)
         if existing is not None and existing.value == knowgget.value:
             return existing  # unchanged; no event
+        return self._commit(key, knowgget, from_remote)
+
+    def _commit(self, key: str, knowgget: Knowgget, from_remote: bool) -> Knowgget:
         self._store[key] = knowgget
         self.change_count += 1
         self.bus.publish(KNOWLEDGE_TOPIC_PREFIX + key, knowgget)
@@ -286,6 +302,10 @@ class KnowledgeBase:
 
     def __len__(self) -> int:
         return len(self._store)
+
+    def rebuild_derived_state(self) -> None:
+        """Restore hook: drop the memoised keys; puts re-encode them."""
+        self._key_memo = {}
 
     # -- change notification --------------------------------------------------------
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.datastore import DataStore
 from repro.core.knowledge import KNOWLEDGE_TOPIC_PREFIX, KnowledgeBase, encode_key
@@ -202,9 +202,6 @@ class ModuleSupervisor:
     def health(self, name: str) -> ModuleHealth:
         return self._health[name]
 
-    def state_of(self, name: str) -> ModuleState:
-        return self._health[name].state
-
     def health_table(self) -> Dict[str, str]:
         """Module name -> breaker state, next to ``activation_table()``."""
         return {name: health.state.value for name, health in self._health.items()}
@@ -315,6 +312,9 @@ class ModuleManager:
         #: knowgget, in registration order.  Derived from the registered
         #: modules (:meth:`rebuild_derived_state`).
         self._index_cache: Dict[str, List[KalisModule]] = {}
+        #: (module, supervision record) in registration order: the walk
+        #: :meth:`on_capture` makes.  Derived likewise.
+        self._route_cache: List[Tuple[KalisModule, ModuleHealth]] = []
         kb.subscribe_all(self._on_knowledge_change)
 
     # -- registration -----------------------------------------------------------
@@ -334,7 +334,7 @@ class ModuleManager:
         module.bind(context)
         self._modules[module.NAME] = module
         self._order.append(module.NAME)
-        self.supervisor.track(module.NAME)
+        self._route_cache.append((module, self.supervisor.track(module.NAME)))
         if force_active:
             self._forced_active.add(module.NAME)
         self._index(module)
@@ -352,14 +352,18 @@ class ModuleManager:
                 watchers.append(module)
 
     def rebuild_derived_state(self) -> None:
-        """Restore hook: re-derive the requirement index from the modules.
+        """Restore hook: re-derive the requirement index and the routes.
 
-        A snapshot may predate the index or carry a stale one; either
-        way it is a pure function of the registered modules.
+        A snapshot may predate them or carry stale ones; either way they
+        are a pure function of the registered modules and the
+        supervisor's records.
         """
         self._index_cache = {}
         for module in self.modules():
             self._index(module)
+        self._route_cache = [
+            (module, self.supervisor.track(module.NAME)) for module in self.modules()
+        ]
 
     def module(self, name: str) -> KalisModule:
         return self._modules[name]
@@ -438,9 +442,12 @@ class ModuleManager:
         remaining modules still see the capture), repeated failures
         quarantine it, and quarantined modules are skipped — and charged
         no work — until their cooldown elapses and a probe restores them.
-        A module whose breaker is healthy with no consecutive failures
-        goes straight to ``handle``; the supervisor is called only where
-        it can change breaker state.  With telemetry bound, each routed
+        The walk reads each module's supervision record from the route
+        sequence built at registration, and looks ``handle`` up on every
+        call (a fault plan may replace it on the instance).  A module
+        whose breaker is healthy with no consecutive failures goes
+        straight to ``handle``; the supervisor is called only where it
+        can change breaker state.  With telemetry bound, each routed
         call is also counted, run inside a ``module.handle`` span and
         timed.
         """
@@ -451,12 +458,10 @@ class ModuleManager:
             node = str(self.node_id)
             metrics = telemetry.metrics
         healthy = ModuleState.HEALTHY
-        modules = self._modules
-        for name in self._order:
-            module = modules[name]
+        for module, health in self._route_cache:
             if not module.active:
                 continue
-            health = supervisor.track(name)
+            name = health.module
             if health.state is not healthy and not supervisor.should_route(name):
                 continue
             self.work_units += module.COST_WEIGHT

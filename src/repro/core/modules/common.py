@@ -82,9 +82,11 @@ class SlidingWindowCounter:
         self._counts: Dict[Hashable, int] = {}
 
     def record(self, timestamp: float, key: Hashable) -> None:
-        self._events.append((timestamp, key))
+        events = self._events
+        events.append((timestamp, key))
         self._counts[key] = self._counts.get(key, 0) + 1
-        self.evict(timestamp)
+        if events[0][0] < timestamp - self.window:
+            self.evict(timestamp)
 
     def evict(self, now: float) -> None:
         horizon = now - self.window

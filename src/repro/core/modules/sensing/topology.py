@@ -26,12 +26,12 @@ medium produce no such evidence.  Knowggets written::
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.core.modules.base import SensingModule
 from repro.core.modules.common import link_source, medium_label
 from repro.core.modules.registry import register_module
-from repro.net.packets.base import Medium
+from repro.net.packets.base import Medium, Packet
 from repro.net.packets.ctp import CtpDataFrame, CtpRoutingFrame
 from repro.net.packets.ieee802154 import Ieee802154Frame
 from repro.net.packets.rpl import ROOT_RANK, RplDio
@@ -95,28 +95,35 @@ class TopologyDiscoveryModule(SensingModule):
         self.ctx.kb.put("Multihop", bool(self._multihop_mediums))
 
     def _is_multihop_evidence(self, capture: Capture) -> bool:
-        packet = capture.packet
-        ctp_data = packet.find_layer(CtpDataFrame)
+        # One walk down the stack finds the outermost layer of each type.
+        # Keying by exact type matches ``find_layer``'s isinstance test
+        # because no packet type subclasses another.
+        layers: Dict[type, Packet] = {}
+        layer: Optional[Packet] = capture.packet
+        while layer is not None:
+            layers.setdefault(type(layer), layer)
+            layer = layer.payload
+        ctp_data = layers.get(CtpDataFrame)
         if ctp_data is not None and ctp_data.thl >= 1:
             return True
-        ctp_routing = packet.find_layer(CtpRoutingFrame)
+        ctp_routing = layers.get(CtpRoutingFrame)
         if ctp_routing is not None and 2 <= ctp_routing.etx < 0xFFFF:
             return True
-        zigbee = packet.find_layer(ZigbeePacket)
+        zigbee = layers.get(ZigbeePacket)
         if zigbee is not None:
             # A NWK packet transmitted by someone other than its
             # originator has been forwarded — multi-hop.  (Radius alone
             # is not evidence: hubs legitimately send radius-1 frames.)
-            mac = packet.find_layer(Ieee802154Frame)
+            mac = layers.get(Ieee802154Frame)
             if mac is not None and mac.src != zigbee.src:
                 return True
-        lowpan = packet.find_layer(SixLowpanPacket)
+        lowpan = layers.get(SixLowpanPacket)
         if lowpan is not None and lowpan.hop_limit < DEFAULT_HOP_LIMIT:
             return True
-        dio = packet.find_layer(RplDio)
+        dio = layers.get(RplDio)
         if dio is not None and dio.rank > ROOT_RANK:
             return True
-        wifi = packet.find_layer(WifiFrame)
+        wifi = layers.get(WifiFrame)
         if wifi is not None and wifi.is_mesh_relayed:
             # 802.11s four-address frames: a mesh WLAN relays at the MAC
             # layer.  (A routed IP path is NOT wireless multi-hop.)

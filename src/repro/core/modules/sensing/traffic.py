@@ -87,9 +87,3 @@ class TrafficStatsModule(SensingModule):
 
     def global_rate(self, kind: str) -> float:
         return self._global.rate(kind)
-
-    def sender_rate(self, kind: str, sender) -> float:
-        return self._by_sender.rate((kind, sender))
-
-    def receiver_rate(self, kind: str, receiver) -> float:
-        return self._by_receiver.rate((kind, receiver))

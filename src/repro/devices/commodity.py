@@ -270,12 +270,6 @@ class Smartphone(IpHost):
         super().__init__(node_id, position, directory, medium=Medium.WIFI,
                          gateway=gateway, extra_mediums=(Medium.BLUETOOTH,))
         self._rng = rng if rng is not None else SeededRng(0, "device", node_id.value)
-        self.commands_sent = 0
-
-    def send_command(self, cloud_ip: str, command_bytes: int = 150) -> None:
-        """E.g. "turn on the light": an HTTPS request to a device cloud."""
-        self.commands_sent += 1
-        self.open_tcp(cloud_ip, HTTPS_PORT, data_bytes=command_bytes)
 
     def ble_request(self, lock: AugustSmartLock) -> None:
         """Direct BLE operation of a paired lock."""

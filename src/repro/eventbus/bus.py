@@ -8,7 +8,12 @@ reproducible.
 
 Topics are plain strings.  A subscription may target an exact topic or a
 topic prefix (``"packet."`` matches ``"packet.wifi"``), mirroring how
-Kalis modules subscribe to families of knowgget keys.
+Kalis modules subscribe to families of knowgget keys.  A topic's
+targets (its exact subscribers, then the matching prefix subscribers,
+each in subscription order) are resolved on its first publish and kept
+until a subscription change drops them: subscribing to a topic or
+removing one of its subscribers drops that topic's entry, and any
+prefix subscription change drops them all.
 
 Dispatch is exception-safe: a raising handler never prevents later
 subscribers from seeing the event ("security-in-a-box" must keep
@@ -22,7 +27,7 @@ re-routed, so the bus can never recurse into itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.util.naming import callable_name
 
@@ -88,6 +93,9 @@ class EventBus:
     def __init__(self) -> None:
         self._exact: Dict[str, List[Subscription]] = {}
         self._prefix: List[Subscription] = []
+        #: Topic -> the subscriptions a publish on it dispatches to.
+        #: Derived from ``_exact`` and ``_prefix``; see the module doc.
+        self._targets_cache: Dict[str, Tuple[Subscription, ...]] = {}
         self._stats = _BusStats()
         self._dispatching = 0
         self._pending_unsubscribes: List[Subscription] = []
@@ -107,6 +115,7 @@ class EventBus:
             raise ValueError("topic must be non-empty")
         subscription = Subscription(topic=topic, prefix=False, handler=handler)
         self._exact.setdefault(topic, []).append(subscription)
+        self._targets_cache.pop(topic, None)
         return subscription
 
     def subscribe_prefix(self, prefix: str, handler: Handler) -> Subscription:
@@ -115,6 +124,7 @@ class EventBus:
             raise ValueError("prefix must be non-empty")
         subscription = Subscription(topic=prefix, prefix=True, handler=handler)
         self._prefix.append(subscription)
+        self._targets_cache.clear()
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
@@ -134,12 +144,29 @@ class EventBus:
         if subscription.prefix:
             if subscription in self._prefix:
                 self._prefix.remove(subscription)
+                self._targets_cache.clear()
         else:
             bucket = self._exact.get(subscription.topic)
             if bucket and subscription in bucket:
                 bucket.remove(subscription)
                 if not bucket:
                     del self._exact[subscription.topic]
+                self._targets_cache.pop(subscription.topic, None)
+
+    def _resolve(self, topic: str) -> Tuple[Subscription, ...]:
+        """The exact then matching prefix subscriptions of ``topic``."""
+        exact = self._exact.get(topic, ())
+        targets = tuple(exact) + tuple(
+            subscription
+            for subscription in self._prefix
+            if topic.startswith(subscription.topic)
+        )
+        self._targets_cache[topic] = targets
+        return targets
+
+    def rebuild_derived_state(self) -> None:
+        """Restore hook: drop the resolved targets; publishes re-resolve."""
+        self._targets_cache = {}
 
     # -- publication ---------------------------------------------------------
 
@@ -157,14 +184,11 @@ class EventBus:
         stats.published += 1
         stats.per_topic[topic] = stats.per_topic.get(topic, 0) + 1
 
-        # Dispatch walks this fresh list, so the target set is fixed at
-        # publish time: handlers may subscribe or unsubscribe meanwhile.
-        exact = self._exact.get(topic)
-        targets: List[Subscription] = list(exact) if exact else []
-        for subscription in self._prefix:
-            if topic.startswith(subscription.topic):
-                targets.append(subscription)
-
+        # Dispatch walks this tuple, so the target set is fixed at publish
+        # time: handlers may subscribe or unsubscribe meanwhile.
+        targets = self._targets_cache.get(topic)
+        if targets is None:
+            targets = self._resolve(topic)
         if not targets:
             stats.dropped += 1
             return 0

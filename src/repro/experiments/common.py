@@ -66,18 +66,6 @@ class ScenarioResult:
     def run(self, engine: str) -> EngineRun:
         return self.runs[engine]
 
-    def resource_table(self) -> Dict[str, Dict[str, float]]:
-        """Engine -> CPU/RAM proxy figures, as plain JSON-safe numbers."""
-        return {
-            name: {
-                "cpu_percent": run.resources.cpu_percent,
-                "ram_kb": run.resources.ram_kb,
-                "work_units": run.resources.work_units,
-                "duration_s": run.resources.duration_s,
-            }
-            for name, run in sorted(self.runs.items())
-        }
-
     def summary(self) -> str:
         lines = [
             f"scenario {self.scenario}: {self.capture_count} captures over "

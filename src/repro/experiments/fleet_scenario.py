@@ -1,6 +1,6 @@
 """E16 — Fleet-scale SIEM aggregation.
 
-The fleet pipeline's named experiment (ROADMAP item 1): N independent
+The fleet pipeline's named experiment (DESIGN.md §10): N independent
 sites — each the live E1 flood topology under its own derived seed —
 sharded across worker processes, streaming versioned event batches
 into the central SIEM aggregator.  The experiment's claims:

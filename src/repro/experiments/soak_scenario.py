@@ -1,6 +1,6 @@
 """E15 — Kill/restore soak: service-mode durability under churn.
 
-The robustness experiment for checkpoint/restore (ROADMAP item 5): a
+The robustness experiment for checkpoint/restore (DESIGN.md §9): a
 deployment is repeatedly killed mid-run by scheduled
 :class:`~repro.faults.ProcessKill` faults and restored from its
 snapshot store, while the oracle asserts that the canonical

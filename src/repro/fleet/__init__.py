@@ -1,6 +1,6 @@
 """``repro.fleet`` — sharded multi-site fleet runs.
 
-The production side of the fleet pipeline (ROADMAP item 1): shard N
+The production side of the fleet pipeline (DESIGN.md §10): shard N
 independent site simulations (:mod:`repro.fleet.sites`) across worker
 processes (:mod:`repro.fleet.worker`), each checkpointing through
 :mod:`repro.ckpt` so a killed worker resumes instead of rerunning, and

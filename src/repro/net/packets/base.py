@@ -74,15 +74,11 @@ class Packet:
     #: Bytes of header this layer contributes; subclasses override.
     HEADER_BYTES = 0
 
-    @property
-    def payload(self) -> Optional["Packet"]:
-        """The next-inner layer; ``None`` for innermost layers.
-
-        Subclasses with an encapsulated layer define a ``payload``
-        dataclass field; this property reads the instance dict so that it
-        works whether or not the subclass field declares a default.
-        """
-        return self.__dict__.get("payload")
+    #: The next-inner layer; ``None`` for innermost layers.  Subclasses
+    #: with an encapsulated layer declare a ``payload: Optional[Packet] =
+    #: None`` dataclass field; on the others every read finds this class
+    #: attribute.  (Unannotated, so not a field of every packet.)
+    payload = None
 
     @property
     def protocol(self) -> str:

@@ -12,12 +12,13 @@ subclass :class:`~repro.net.packets.base.Packet`; the registry is built
 from the public packet modules at import time and can be extended with
 :func:`register_packet_type`.
 
-Decoding is driven by each type's field annotations, resolved once at
-registration: every field that needs more than a passthrough gets its
-own decoder (an interned ``NodeId``, an enum member by name, a flag by
-value, or a nested packet through :func:`decode_packet`).  Equal id
-strings decode to one shared ``NodeId`` per ``nodes`` table, so a trace
-load validates each distinct id once.
+Both directions are driven by each type's field annotations, resolved
+once at registration: every field that needs more than a passthrough
+gets its own encoder and decoder (a ``NodeId`` as its tagged string and
+back as an interned id, an enum member by name, a flag by value, or a
+nested packet through :func:`encode_packet` and :func:`decode_packet`).
+Equal id strings decode to one shared ``NodeId`` per ``nodes`` table, so
+a trace load validates each distinct id once.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from repro.net.packets import (
 from repro.net.packets.base import Packet
 from repro.util.ids import NodeId, interned_node_id
 
+#: Encodes one non-None field value into its JSON-safe form.
+_FieldEncoder = Callable[[Any], Any]
 #: Decodes one encoded, non-None field value; the dict interns NodeIds.
 _FieldDecoder = Callable[[Any, Dict[str, NodeId]], Any]
 
@@ -51,9 +54,14 @@ _PASSTHROUGH_TYPES = (bool, int, float, str)
 
 
 class _PacketCodec(NamedTuple):
-    """A registered packet type and the decoders of its non-plain fields."""
+    """A registered packet type with its field encoders and decoders.
+
+    ``field_encoders`` lists every field in declaration order, with None
+    for a passthrough; ``field_decoders`` lists only non-plain fields.
+    """
 
     packet_type: Type[Packet]
+    field_encoders: Tuple[Tuple[str, Optional[_FieldEncoder]], ...]
     field_decoders: Tuple[Tuple[str, _FieldDecoder], ...]
 
 
@@ -61,34 +69,49 @@ _PACKET_TYPES: Dict[str, _PacketCodec] = {}
 _ENUM_TYPES: Dict[str, Type[enum.Enum]] = {}
 
 
+def _encode_node(value: NodeId) -> Dict[str, str]:
+    return {"__node__": value.value}
+
+
 def _decode_node(value: Dict[str, str], nodes: Dict[str, NodeId]) -> NodeId:
     return interned_node_id(value["__node__"], nodes)
 
 
+# The nested codecs resolve encode_packet/decode_packet per call: a
+# wrapper installed on the module attribute (the traced benchmark run
+# installs one) sees nested layers too.
+def _encode_nested(value: Packet) -> Dict[str, Any]:
+    return encode_packet(value)
+
+
 def _decode_nested(value: Dict[str, Any], nodes: Dict[str, NodeId]) -> Packet:
-    # Resolved per call: a wrapper installed on the module attribute (the
-    # traced benchmark run installs one) sees nested layers too.
     return decode_packet(value, nodes)
 
 
-def _member_decoder(enum_type: Type[enum.Enum]) -> _FieldDecoder:
-    """Flags decode by value (any combination), other enums by member name."""
+def _member_codec(enum_type: Type[enum.Enum]) -> Tuple[_FieldEncoder, _FieldDecoder]:
+    """Flags go by value (any combination), other enums by member name."""
     name = enum_type.__name__
-    if issubclass(enum_type, enum.Flag):
+    flag = issubclass(enum_type, enum.Flag)
+    if flag:
         tag, lookup = "__flag__", enum_type
     else:
         tag, lookup = "__enum__", enum_type.__members__.__getitem__
+
+    def encode(value: enum.Enum) -> Dict[str, Any]:
+        return {tag: name, "value": value.value if flag else value.name}
 
     def decode(value: Dict[str, Any], nodes: Dict[str, NodeId]) -> enum.Enum:
         if _ENUM_TYPES.get(value[tag]) is not enum_type:
             raise ValueError(f"{tag} {value[tag]!r} is not the registered {name}")
         return lookup(value["value"])
 
-    return decode
+    return encode, decode
 
 
-def _field_decoder(owner: str, name: str, annotation: Any) -> Optional[_FieldDecoder]:
-    """The decoder for one resolved field annotation; None for a passthrough."""
+def _field_codec(
+    owner: str, name: str, annotation: Any
+) -> Optional[Tuple[_FieldEncoder, _FieldDecoder]]:
+    """The codec pair for one resolved field annotation; None for a passthrough."""
     if typing.get_origin(annotation) is Union:
         members = [arg for arg in typing.get_args(annotation) if arg is not type(None)]
         if len(members) == 1:
@@ -97,11 +120,11 @@ def _field_decoder(owner: str, name: str, annotation: Any) -> Optional[_FieldDec
         return None
     if isinstance(annotation, type):
         if issubclass(annotation, NodeId):
-            return _decode_node
+            return _encode_node, _decode_node
         if issubclass(annotation, enum.Enum):
-            return _member_decoder(annotation)
+            return _member_codec(annotation)
         if issubclass(annotation, Packet):
-            return _decode_nested
+            return _encode_nested, _decode_nested
     raise TypeError(f"{owner}.{name}: the packet codec cannot decode {annotation!r}")
 
 
@@ -115,14 +138,16 @@ def register_packet_type(packet_type: Type[Packet]) -> Type[Packet]:
     if not (is_dataclass(packet_type) and issubclass(packet_type, Packet)):
         raise TypeError(f"{packet_type!r} is not a Packet dataclass")
     hints = typing.get_type_hints(packet_type)
+    encoders = []
     decoders = []
     for field_info in fields(packet_type):
-        decoder = _field_decoder(
-            packet_type.__name__, field_info.name, hints[field_info.name]
-        )
-        if decoder is not None:
-            decoders.append((field_info.name, decoder))
-    _PACKET_TYPES[packet_type.__name__] = _PacketCodec(packet_type, tuple(decoders))
+        codec = _field_codec(packet_type.__name__, field_info.name, hints[field_info.name])
+        encoders.append((field_info.name, None if codec is None else codec[0]))
+        if codec is not None:
+            decoders.append((field_info.name, codec[1]))
+    _PACKET_TYPES[packet_type.__name__] = _PacketCodec(
+        packet_type, tuple(encoders), tuple(decoders)
+    )
     return packet_type
 
 
@@ -160,31 +185,19 @@ for _module in (
     _register_module(_module)
 
 
-def _encode_value(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, NodeId):
-        return {"__node__": value.value}
-    if isinstance(value, enum.Flag):
-        return {"__flag__": type(value).__name__, "value": value.value}
-    if isinstance(value, enum.Enum):
-        return {"__enum__": type(value).__name__, "value": value.name}
-    if isinstance(value, Packet):
-        return encode_packet(value)
-    raise TypeError(f"cannot encode packet field value of type {type(value).__name__}")
-
-
 def encode_packet(packet: Packet) -> Dict[str, Any]:
     """Encode a packet (with all nested layers) into a JSON-safe dict."""
     type_name = type(packet).__name__
-    if type_name not in _PACKET_TYPES:
+    codec = _PACKET_TYPES.get(type_name)
+    if codec is None or codec.packet_type is not type(packet):
         raise TypeError(
             f"{type_name} is not a registered packet type; "
             "call register_packet_type() first"
         )
     encoded: Dict[str, Any] = {"__packet__": type_name}
-    for field_info in fields(packet):
-        encoded[field_info.name] = _encode_value(getattr(packet, field_info.name))
+    for name, encode in codec.field_encoders:
+        value = getattr(packet, name)
+        encoded[name] = value if encode is None or value is None else encode(value)
     return encoded
 
 

@@ -1,6 +1,6 @@
 """``repro.siem`` — the fleet-wide SIEM aggregation service.
 
-The intake side of the fleet pipeline (ROADMAP item 1, the paper's S16
+The intake side of the fleet pipeline (DESIGN.md §10, the paper's S16
 SIEM-export extension point taken to fleet scale): workers stream
 versioned NDJSON event batches (:mod:`repro.siem.events`) into a
 :class:`SiemAggregator` that deduplicates across sites and re-emission

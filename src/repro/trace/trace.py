@@ -44,9 +44,6 @@ class Trace:
         else:
             self._records.append(record)
 
-    def append_capture(self, capture: Capture, **labels) -> None:
-        self.append(TraceRecord(capture=capture, **labels))
-
     def merged_with(self, other: "Trace") -> "Trace":
         """A new trace interleaving this one with another by time."""
         return Trace(list(self._records) + list(other._records))

@@ -15,6 +15,7 @@ from repro.ckpt import (
 from repro.core.kalis import KalisNode
 from repro.devices.wsn import build_wsn
 from repro.experiments.soak_scenario import build_e1_deployment
+from repro.faults import FaultPlan, ModuleCrash
 from repro.obs import Telemetry
 from repro.proto.mesh import ZigbeeMeshNode
 from repro.sim.engine import Simulator
@@ -104,7 +105,47 @@ class TestCaptureRestore:
             restore(payload)
 
 
+def _crashing_e1_deployment():
+    """E1 with IcmpFloodModule crashing until t=14: quarantined ~13-43 s."""
+    deployment = build_e1_deployment(seed=7, symptom_instances=12)
+    plan = FaultPlan(
+        seed=7,
+        events=[ModuleCrash(NodeId("kalis-1"), "IcmpFloodModule", start=0.0, end=14.0)],
+    )
+    plan.apply(deployment.sim, deployment.kalis_nodes)
+    return deployment
+
+
+def _node_tables(deployment):
+    node = deployment.kalis_nodes[0]
+    return (
+        canonical_outputs(deployment),
+        node.manager.activation_table(),
+        node.manager.health_table(),
+    )
+
+
 class TestRestoreSeams:
+    def test_restore_while_module_quarantined(self):
+        """A knowledge-driven node killed while a crash plan holds a module
+        quarantined resumes with the supervisor's records in its routes:
+        the module stays skipped until its probe, then alerts as in the
+        uninterrupted run."""
+        uninterrupted = _crashing_e1_deployment()
+        uninterrupted.run_to(uninterrupted.end_time)
+        expected = _node_tables(uninterrupted)
+
+        deployment = _crashing_e1_deployment()
+        deployment.run_to(25.0)
+        manager = deployment.kalis_nodes[0].manager
+        assert manager.module("IcmpFloodModule").active
+        assert manager.health_table()["IcmpFloodModule"] == "quarantined"
+        restored = restore(capture(deployment))
+        restored.run_to(restored.end_time)
+        assert _node_tables(restored) == expected
+        assert expected[2]["IcmpFloodModule"] == "healthy"
+        assert any("icmp_flood by=IcmpFloodModule" in line for line in expected[0])
+
     def test_snapshot_without_requirement_index_still_activates(self):
         """A node pickled before the manager kept a requirement index
         rebuilds it on restore; without that, every knowledge change

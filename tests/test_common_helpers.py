@@ -79,6 +79,26 @@ class TestSlidingWindowCounter:
         assert counter.total() == sum(count for _, count in counter.items())
         assert all(count > 0 for _, count in counter.items())
 
+    @settings(max_examples=40)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0, 100, allow_nan=False), st.integers(0, 4)),
+            max_size=50,
+        )
+    )
+    def test_record_matches_evicting_on_every_event(self, events):
+        """``record`` evicts only when its oldest event has expired; the
+        counts match a counter that runs ``evict`` after every event."""
+        counter = SlidingWindowCounter(window=10.0)
+        reference = SlidingWindowCounter(window=10.0)
+        for timestamp, key in sorted(events):
+            counter.record(timestamp, key)
+            reference._events.append((timestamp, key))
+            reference._counts[key] = reference._counts.get(key, 0) + 1
+            reference.evict(timestamp)
+            assert counter.items() == reference.items()
+            assert counter.total() == reference.total()
+
 
 class TestEwmaTracker:
     def test_first_sample_sets_mean(self):

@@ -226,3 +226,70 @@ entities = st.one_of(st.none(), creators)
 def test_key_encoding_roundtrip_property(creator, label, entity):
     key = encode_key(creator, label, entity)
     assert decode_key(key) == (creator, label, entity)
+
+
+# -- put against the reference put -------------------------------------------------
+
+
+def reference_put(kb, label, value, entity=None, collective=False):
+    """``KnowledgeBase.put`` written out plainly: encode the key on every
+    call and build the knowgget before comparing values."""
+    knowgget = Knowgget(
+        label=label,
+        value=encode_value(value),
+        creator=kb.owner,
+        entity=entity,
+        collective=collective,
+    )
+    return kb._insert(encode_key(kb.owner, label, entity), knowgget, from_remote=False)
+
+
+class RecordingKb:
+    """A knowledge base whose bus events and collective updates are logged."""
+
+    def __init__(self):
+        self.kb = KnowledgeBase(T1)
+        self.events = []
+        self.shared = []
+        self.kb.subscribe_all(lambda event: self.events.append((event.topic, event.payload)))
+        self.kb.add_collective_listener(self.shared.append)
+
+
+put_labels = st.sampled_from(
+    ["Multihop", "Multihop.wifi", "TrafficIn.ICMPReply", "", "bad$label", "bad@label"]
+)
+put_values = st.one_of(
+    st.booleans(), st.integers(-2, 2), st.sampled_from([0.5, 2.0]), st.sampled_from(["x", "y"])
+)
+# SENSOR and an equal but distinct NodeId: the memo must key by value.
+put_entities = st.one_of(st.none(), st.sampled_from([SENSOR, T2, NodeId("SensorA")]))
+puts = st.lists(st.tuples(put_labels, put_values, put_entities, st.booleans()), max_size=40)
+
+
+@given(puts)
+def test_put_matches_reference_put(script):
+    """Memoised keys and the early value comparison change no store entry,
+    count, event or collective update; an invalid label raises on every
+    attempt, its first and any repeat."""
+    actual, expected = RecordingKb(), RecordingKb()
+    for label, value, entity, collective in script:
+        outcomes = []
+        for side, put in ((actual, KnowledgeBase.put), (expected, reference_put)):
+            try:
+                outcomes.append(put(side.kb, label, value, entity, collective))
+            except ValueError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+    assert list(actual.kb._store.items()) == list(expected.kb._store.items())
+    assert actual.kb.change_count == expected.kb.change_count
+    assert actual.events == expected.events
+    assert actual.shared == expected.shared
+
+
+def test_invalid_label_raises_on_every_put():
+    kb = KnowledgeBase(T1)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            kb.put("bad$label", 1)
+    assert len(kb) == 0
+    assert kb.change_count == 0

@@ -29,7 +29,7 @@ from repro.net.packets.udp import UdpDatagram
 from repro.net.packets.wifi import WifiFrame, WifiFrameKind
 from repro.net.packets.zigbee import ZigbeeKind, ZigbeePacket
 from repro.util.ids import NodeId
-from tests.codec_reference import reference_decode
+from tests.codec_reference import reference_decode, reference_encode
 
 A, B = NodeId("a"), NodeId("b")
 
@@ -86,6 +86,14 @@ class TestErrors:
 
         with pytest.raises(TypeError):
             encode_packet(SecretPacket())
+
+    def test_unregistered_type_sharing_a_registered_name(self):
+        @dataclass(frozen=True)
+        class RawPayload(Packet):
+            length: int = 0
+
+        with pytest.raises(TypeError):
+            encode_packet(RawPayload())
 
     def test_register_rejects_non_packet(self):
         with pytest.raises(TypeError):
@@ -278,6 +286,21 @@ def node_id_objects(packet):
         for value in vars(layer).values()
         if isinstance(value, NodeId)
     ]
+
+
+def test_no_packet_type_subclasses_another():
+    """Type identity and ``isinstance`` agree on every registered stack, so
+    a walk that keys layers by exact type finds what ``find_layer`` finds."""
+    types = [t for t in registered_packet_types().values() if t is not Packet]
+    for packet_type in types:
+        for other in types:
+            assert packet_type is other or not issubclass(packet_type, other)
+
+
+@given(any_packets)
+def test_encode_matches_reference_encoder(packet):
+    # Compared as JSON text, so the field order counts too.
+    assert json.dumps(encode_packet(packet)) == json.dumps(reference_encode(packet))
 
 
 @given(any_packets)

@@ -1,15 +1,17 @@
 """Tests for the three sensing modules (Topology, Traffic, Mobility)."""
 
 import pytest
+from hypothesis import example, given
 
 from repro.core.datastore import DataStore
 from repro.core.knowledge import KnowledgeBase
 from repro.core.modules.base import ModuleContext
 from repro.core.modules.sensing.mobility import MobilityAwarenessModule
-from repro.core.modules.sensing.topology import TopologyDiscoveryModule
+from repro.core.modules.sensing.topology import DEFAULT_HOP_LIMIT, TopologyDiscoveryModule
 from repro.core.modules.sensing.traffic import TrafficStatsModule
 from repro.eventbus.bus import EventBus
 from repro.net.packets.base import Medium
+from repro.net.packets.ctp import CtpDataFrame, CtpRoutingFrame
 from repro.net.packets.ieee802154 import Ieee802154Frame
 from repro.net.packets.rpl import ROOT_RANK, RplDio
 from repro.net.packets.sixlowpan import SixLowpanPacket
@@ -23,6 +25,7 @@ from tests.conftest import (
     wifi_icmp_capture,
     wifi_tcp_capture,
 )
+from tests.test_packets_codec import any_packets
 
 A, B, C = NodeId("a"), NodeId("b"), NodeId("c")
 
@@ -138,6 +141,38 @@ class TestTopologyDiscovery:
         module.handle(wifi_icmp_capture(B, A, "x", 1.0))
         module.handle(wifi_icmp_capture(A, C, "x", 2.0))
         assert kb.get("MonitoredNodes", int) == 2
+
+
+def reference_multihop_evidence(packet):
+    """The multi-hop tests, each on the layer ``find_layer`` returns."""
+    ctp_data = packet.find_layer(CtpDataFrame)
+    if ctp_data is not None and ctp_data.thl >= 1:
+        return True
+    ctp_routing = packet.find_layer(CtpRoutingFrame)
+    if ctp_routing is not None and 2 <= ctp_routing.etx < 0xFFFF:
+        return True
+    zigbee = packet.find_layer(ZigbeePacket)
+    mac = packet.find_layer(Ieee802154Frame)
+    if zigbee is not None and mac is not None and mac.src != zigbee.src:
+        return True
+    lowpan = packet.find_layer(SixLowpanPacket)
+    if lowpan is not None and lowpan.hop_limit < DEFAULT_HOP_LIMIT:
+        return True
+    dio = packet.find_layer(RplDio)
+    if dio is not None and dio.rank > ROOT_RANK:
+        return True
+    wifi = packet.find_layer(WifiFrame)
+    return wifi is not None and wifi.is_mesh_relayed
+
+
+@given(any_packets)
+@example(  # only the outermost CTP layer counts: a relayed inner one does not
+    CtpDataFrame(origin=A, seqno=1, thl=0, payload=CtpDataFrame(origin=B, seqno=2, thl=3))
+)
+def test_multihop_evidence_matches_find_layer_reference(packet):
+    capture = Capture(packet=packet, timestamp=1.0, medium=Medium.WIFI, rssi=-50.0)
+    module = TopologyDiscoveryModule()
+    assert module._is_multihop_evidence(capture) == reference_multihop_evidence(packet)
 
 
 class TestTrafficStats:
