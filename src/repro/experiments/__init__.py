@@ -16,7 +16,17 @@ E4     §VI-C (reactivity)          :mod:`~repro.experiments.reactivity_scenario
 E5     §VI-D (knowledge sharing)   :mod:`~repro.experiments.wormhole_scenario`
 E6     Figure 8 (breadth)          :mod:`~repro.experiments.breadth`
 E9/10  ablations                   :mod:`~repro.experiments.ablations`
+E11    jamming (extension)         :mod:`~repro.experiments.jamming_scenario`
+E12    scalability (extension)     :mod:`~repro.experiments.scalability_scenario`
+E13    full-library breadth        :mod:`~repro.experiments.extended_breadth`
+E14    chaos (extension)           :mod:`~repro.experiments.chaos_scenario`
+E15    kill/restore soak           :mod:`~repro.experiments.soak_scenario`
+E16    fleet SIEM (extension)      :mod:`~repro.experiments.fleet_scenario`
 =====  ==========================  ====================================
+
+:mod:`~repro.experiments.worlds` is the scenario table that E6 and E13
+view: one world per attack, keyed by (attack, topology).
+:mod:`~repro.experiments.common` holds the plumbing every harness shares.
 """
 
 from repro.experiments import (
@@ -29,6 +39,7 @@ from repro.experiments import (
     replication_scenario,
     scalability_scenario,
     table2,
+    worlds,
     wormhole_scenario,
 )
 from repro.experiments.common import EngineRun, ScenarioResult
@@ -43,6 +54,7 @@ __all__ = [
     "replication_scenario",
     "scalability_scenario",
     "table2",
+    "worlds",
     "wormhole_scenario",
     "EngineRun",
     "ScenarioResult",

@@ -22,10 +22,18 @@ from repro.baselines.snort import SnortEngine, community_ruleset
 from repro.baselines.traditional import TraditionalIds
 from repro.core.alerts import Alert
 from repro.core.kalis import KalisNode
+from repro.devices.commodity import CloudService, NestThermostat
+from repro.devices.wsn import TelosbMote
 from repro.metrics.detection import DetectionScore, score_alerts, score_countermeasure
 from repro.metrics.resources import ResourceReport, resource_report
+from repro.proto.iphost import IpRouter, LanDirectory
+from repro.proto.mesh import ZigbeeMeshNode
+from repro.sim.node import SnifferNode
+from repro.sim.topology import star_positions
+from repro.trace.recorder import TraceRecorder
 from repro.trace.trace import Trace
-from repro.util.ids import NodeId
+from repro.util.ids import NodeId, make_node_id
+from repro.util.rng import SeededRng
 
 
 @dataclass
@@ -76,6 +84,94 @@ class ScenarioResult:
         return "\n".join(lines)
 
 
+@dataclass
+class HomeLan:
+    """The home-LAN core: a router, its cloud service and a Nest thermostat."""
+
+    lan: LanDirectory
+    router: IpRouter
+    cloud: CloudService
+    nest: NestThermostat
+
+
+def add_home_lan(sim, rng: SeededRng) -> HomeLan:
+    """Add the router, the cloud and the Nest (in that order) to ``sim``:
+    every WiFi world's core.  The Nest draws from ``rng.substream("nest")``."""
+    lan, wan = LanDirectory(), LanDirectory()
+    router = sim.add_node(IpRouter(NodeId("router"), (0.0, 0.0), lan, wan))
+    cloud = sim.add_node(CloudService(NodeId("cloud"), (500.0, 0.0), wan, gateway=router.node_id))
+    nest = sim.add_node(NestThermostat(NodeId("nest"), (6.0, 2.0), lan, cloud.ip,
+                                       router.node_id, rng=rng.substream("nest")))
+    return HomeLan(lan=lan, router=router, cloud=cloud, nest=nest)
+
+
+def add_ctp_chain(sim, relay=None):
+    """Add the CTP chain base <- mote-1 <- relay <- mote-3 to ``sim``: TelosB
+    motes 25 m apart, so mote-3's reports reach the base only through the
+    slot at 50 m.  ``relay`` (placed there) takes it, else a benign mote-2.
+    Returns the node in that slot."""
+    sim.add_node(TelosbMote(NodeId("mote-base"), (0.0, 0.0), is_root=True))
+    sim.add_node(TelosbMote(NodeId("mote-1"), (25.0, 0.0)))
+    slot = sim.add_node(relay if relay is not None else TelosbMote(NodeId("mote-2"), (50.0, 0.0)))
+    sim.add_node(TelosbMote(NodeId("mote-3"), (75.0, 0.0)))
+    return slot
+
+
+def add_zigbee_star(
+    sim, members: int, radius: float, report_every: float, first_report: float,
+    stagger: float,
+) -> Tuple[ZigbeeMeshNode, List[ZigbeeMeshNode]]:
+    """Add a ZigBee coordinator and ``members`` nodes on a circle around
+    it; member ``i`` reports 16 bytes to it every ``report_every`` s, first
+    at ``first_report + stagger * i``.  Returns ``(coordinator, members)``."""
+    coordinator = sim.add_node(ZigbeeMeshNode(NodeId("coordinator"), (0.0, 0.0)))
+    nodes: List[ZigbeeMeshNode] = []
+    for index, position in enumerate(star_positions(members, radius)):
+        member = ZigbeeMeshNode(make_node_id("member", index), position)
+        member.set_routes({coordinator.node_id: coordinator.node_id})
+        sim.add_node(member)
+        nodes.append(member)
+
+        def report(node=member) -> None:
+            if node.attached:
+                node.send_app(coordinator.node_id, data_length=16)
+
+        sim.schedule_every(report_every, report, first_delay=first_report + stagger * index)
+    return coordinator, nodes
+
+
+def sniff(sim, position, observer: str = "observer") -> Trace:
+    """Add a recording sniffer to ``sim``, after the world's other nodes,
+    and return the trace it fills as ``sim`` runs."""
+    sniffer = sim.add_node(SnifferNode(NodeId(observer), position))
+    return TraceRecorder().attach(sniffer).trace
+
+
+def strike_horizon(attacker) -> float:
+    """How long a timer-driven attacker's world runs: its full strike
+    schedule, then 20 s for the last symptoms to be scored."""
+    return attacker.start_delay + attacker.max_instances * attacker.interval + 20.0
+
+
+def collapse(
+    instances: List[SymptomInstance], attack: str, until: Optional[float] = None
+) -> List[SymptomInstance]:
+    """Collapse per-packet symptom logs into one spanning instance.
+
+    Drip-style attacks (a forged frame every few seconds) are one
+    ongoing adverse event, not dozens; rate detectors legitimately take
+    several packets to accumulate evidence for it.  ``until`` extends
+    the span for misbehaviour that continues past the attacker's own
+    log (a route lie keeps swallowing traffic as long as victims stay
+    re-parented).
+    """
+    if not instances:
+        return []
+    end = until if until is not None else instances[-1].end
+    return [SymptomInstance(attack=attack, attacker=instances[0].attacker, instance=0,
+                            start=instances[0].start, end=end)]
+
+
 def suspects_of(alerts: Sequence[Alert]) -> List[NodeId]:
     """Every distinct suspect across an alert stream (revocation set)."""
     seen: Set[NodeId] = set()
@@ -100,17 +196,9 @@ def run_kalis_on_trace(
     """Replay a trace into a fresh Kalis node and score it."""
     kalis = KalisNode(node_id, config=config, telemetry=telemetry, **kalis_kwargs)
     kalis.replay_trace(trace)
-    run = _score_engine(
-        name="kalis",
-        engine_kind="kalis",
-        alerts=kalis.alerts.alerts,
-        instances=instances,
-        trace=trace,
-        work_units=kalis.cpu_work_units(),
-        active_modules=len(kalis.manager.active_modules()),
-        state_bytes=kalis.approximate_ram_bytes(),
-        detection_slack=detection_slack,
-        telemetry=telemetry,
+    run = score_node(
+        "kalis", kalis, instances, trace.duration,
+        detection_slack=detection_slack, telemetry=telemetry,
     )
     return run, kalis
 
@@ -129,19 +217,35 @@ def run_traditional_on_trace(
         node_id, module_names=module_names, telemetry=telemetry, **kwargs
     )
     trad.replay_trace(trace)
-    run = _score_engine(
-        name="traditional",
-        engine_kind="traditional",
-        alerts=trad.alerts.alerts,
+    run = score_node(
+        "traditional", trad, instances, trace.duration,
+        detection_slack=detection_slack, telemetry=telemetry,
+    )
+    return run, trad
+
+
+def score_node(
+    engine: str,
+    node: KalisNode,
+    instances: Sequence[SymptomInstance],
+    duration_s: float,
+    detection_slack: float = 20.0,
+    telemetry=None,
+) -> EngineRun:
+    """Score a Kalis or traditional node (``engine`` names which) once it
+    has seen its captures over ``duration_s`` seconds."""
+    return _score_engine(
+        name=engine,
+        engine_kind=engine,
+        alerts=node.alerts.alerts,
         instances=instances,
-        trace=trace,
-        work_units=trad.cpu_work_units(),
-        active_modules=len(trad.manager.active_modules()),
-        state_bytes=trad.approximate_ram_bytes(),
+        duration_s=duration_s,
+        work_units=node.cpu_work_units(),
+        active_modules=len(node.manager.active_modules()),
+        state_bytes=node.approximate_ram_bytes(),
         detection_slack=detection_slack,
         telemetry=telemetry,
     )
-    return run, trad
 
 
 def run_snort_on_trace(
@@ -160,7 +264,7 @@ def run_snort_on_trace(
         engine_kind="snort",
         alerts=snort.alerts.alerts,
         instances=instances,
-        trace=trace,
+        duration_s=trace.duration,
         work_units=snort.work_units,
         active_modules=0,
         state_bytes=snort.approximate_state_bytes(),
@@ -176,7 +280,7 @@ def _score_engine(
     engine_kind: str,
     alerts: Sequence[Alert],
     instances: Sequence[SymptomInstance],
-    trace: Trace,
+    duration_s: float,
     work_units: float,
     active_modules: int,
     state_bytes: int,
@@ -184,7 +288,7 @@ def _score_engine(
     detection_slack: float = 20.0,
     telemetry=None,
 ) -> EngineRun:
-    duration = max(trace.duration, 1e-9)
+    duration = max(duration_s, 1e-9)
     score = score_alerts(alerts, instances, detection_slack=detection_slack)
     resources = resource_report(
         engine_kind,

@@ -11,29 +11,12 @@ against its attack (not just unit-tested).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.attacks.base import SymptomInstance
-from repro.attacks.data_alteration import AlteringMote
-from repro.attacks.hello_flood import HelloFloodNode
-from repro.attacks.sinkhole import SinkholeMote
-from repro.attacks.spoofing import SpoofingNode
-from repro.core.kalis import KalisNode
-from repro.devices.wsn import TelosbMote
-from repro.metrics.detection import DetectionScore, score_alerts
-from repro.sim.engine import Simulator
-from repro.sim.node import SnifferNode
-from repro.trace.recorder import TraceRecorder
-from repro.util.ids import NodeId
-from repro.util.rng import SeededRng
+from repro.experiments import worlds
+from repro.metrics.detection import DetectionScore
 
-EXTENDED_SCENARIOS: Tuple[str, ...] = (
-    "sinkhole",
-    "hello_flood",
-    "data_alteration",
-    "spoofing",
-    "jamming",
-)
+EXTENDED_SCENARIOS: Tuple[str, ...] = worlds.EXTENDED_BREADTH
 
 
 @dataclass
@@ -59,174 +42,12 @@ class ExtendedBreadthResult:
         return "\n".join(lines)
 
 
-def _wsn_chain(sim, attacker=None, with_mote2=True) -> None:
-    sim.add_node(TelosbMote(NodeId("mote-base"), (0.0, 0.0), is_root=True))
-    sim.add_node(TelosbMote(NodeId("mote-1"), (25.0, 0.0)))
-    if attacker is not None:
-        sim.add_node(attacker)
-    elif with_mote2:
-        sim.add_node(TelosbMote(NodeId("mote-2"), (50.0, 0.0)))
-    sim.add_node(TelosbMote(NodeId("mote-3"), (75.0, 0.0)))
-
-
-#: Scenario length; ground-truth spans for ongoing misbehaviour (a
-#: flooder or sinkhole that keeps swallowing attracted traffic) extend
-#: to this horizon.
-RUN_DURATION_S = 150.0
-
-
-def _run_scenario(
-    seed: int,
-    build: Callable[[Simulator], Tuple[object, List[SymptomInstance]]],
-    duration: float = RUN_DURATION_S,
-    sniffer_position: Tuple[float, float] = (50.0, 10.0),
-    detection_slack: float = 35.0,
-    live_kalis: bool = False,
-) -> Tuple[DetectionScore, bool, NodeId]:
-    """Build, run, and score one scenario for Kalis.
-
-    ``live_kalis`` runs the IDS inside the simulation (needed when the
-    attack mutates the medium, as jamming does); otherwise the standard
-    record-and-replay path is used.
-    """
-    sim = Simulator(seed=seed)
-    attacker, instances_fn = build(sim)
-    kalis = KalisNode(NodeId("kalis-1"))
-    if live_kalis:
-        kalis.deploy(sim, position=sniffer_position)
-        sim.run(duration)
-    else:
-        sniffer = SnifferNode(NodeId("observer"), sniffer_position)
-        sim.add_node(sniffer)
-        recorder = TraceRecorder().attach(sniffer)
-        sim.run(duration)
-        kalis.replay_trace(recorder.trace)
-    instances = instances_fn()
-    score = score_alerts(kalis.alerts.alerts, instances,
-                         detection_slack=detection_slack)
-    suspects = {s for a in kalis.alerts.alerts for s in a.suspects}
-    expected = getattr(attacker, "expected_suspect", attacker.node_id)
-    # Jamming alerts intentionally carry no suspects (unlocalisable).
-    named = expected in suspects if suspects else True
-    return score, named, attacker.node_id
-
-
 def run(seed: int = 47) -> ExtendedBreadthResult:
-    """Run all five extended scenarios."""
+    """Run all five extended scenarios: scenario ``i`` at ``seed + i``."""
     result = ExtendedBreadthResult()
-
-    def sinkhole(sim):
-        attacker = SinkholeMote(NodeId("sinker"), (27.0, 10.0),
-                                advertised_etx=0, beacon_interval=2.0)
-        _wsn_chain(sim, attacker=None)
-        sim.add_node(attacker)
-        # A sinkhole manifests twice over: the forged advertisement AND
-        # the blackholing of the traffic it attracted — both labels are
-        # legitimate ground truth for the same window.
-        return attacker, lambda: (
-            _collapse(attacker.log.instances, "sinkhole", until=RUN_DURATION_S)
-            + _collapse(attacker.log.instances, "blackhole",
-                        until=RUN_DURATION_S)
-        )
-
-    def hello_flood(sim):
-        attacker = HelloFloodNode(
-            NodeId("helloer"), (50.0, 5.0), beacons_per_burst=25,
-            burst_interval=8.0, start_delay=15.0, max_bursts=10,
-            rng=SeededRng(seed, "hello"),
-        )
-        _wsn_chain(sim)
-        sim.add_node(attacker)
-        # The flooder's attractive beacons pull in traffic it then fails
-        # to relay: its symptom log covers the beacon storms, and one
-        # spanning relay-misbehaviour instance covers the blackholing.
-        return attacker, lambda: (
-            attacker.log.instances
-            + _collapse(attacker.log.instances, "blackhole",
-                        until=RUN_DURATION_S)
-        )
-
-    def data_alteration(sim):
-        attacker = AlteringMote(
-            NodeId("alterer"), (50.0, 0.0), alter_probability=0.6,
-            rng=SeededRng(seed, "alter"),
-        )
-        _wsn_chain(sim, attacker=attacker, with_mote2=False)
-        # A flow-keyed watchdog cannot tell "altered" from "dropped":
-        # the tampered relays also legitimately present as selective
-        # forwarding, so both labels are ground truth.
-        return attacker, lambda: (
-            attacker.log.instances
-            + _collapse(attacker.log.instances, "selective_forwarding")
-        )
-
-    def spoofing(sim):
-        attacker = SpoofingNode(
-            NodeId("spoofer"), (48.0, 12.0),
-            spoofed_identity=NodeId("mote-2"), target=NodeId("mote-1"),
-            send_interval=4.0, start_delay=20.0,
-            rng=SeededRng(seed, "spoof"),
-        )
-        # A spoofing alert names the *abused identity* — the attacker's
-        # own identity never appears on the air.
-        attacker.expected_suspect = attacker.spoofed_identity
-        _wsn_chain(sim)
-        sim.add_node(attacker)
-        return attacker, lambda: _collapse(attacker.log.instances, "spoofing")
-
-    def jamming(sim):
-        from repro.attacks.jamming import JammingNode
-
-        attacker = JammingNode(
-            NodeId("jammer"), (30.0, 5.0), loss_probability=0.92,
-            burst_duration=20.0, burst_interval=60.0, start_delay=40.0,
-            max_bursts=2, rng=SeededRng(seed, "jam"),
-        )
-        _wsn_chain(sim)
-        sim.add_node(attacker)
-        return attacker, lambda: attacker.log.instances
-
-    builders = {
-        "sinkhole": (sinkhole, dict(sniffer_position=(15.0, 5.0))),
-        "hello_flood": (hello_flood, {}),
-        # The alteration watchdog only judges relays whose ingress leg
-        # it can reliably hear: park the sniffer between the forwarder
-        # and the flow origin.
-        "data_alteration": (data_alteration, dict(sniffer_position=(58.0, 8.0))),
-        "spoofing": (spoofing, {}),
-        "jamming": (jamming, dict(live_kalis=True, sniffer_position=(30.0, 8.0),
-                                  detection_slack=15.0)),
-    }
-    for index, name in enumerate(EXTENDED_SCENARIOS):
-        build, kwargs = builders[name]
-        score, named, _ = _run_scenario(seed + index, build, **kwargs)
-        result.scores[name] = score
-        result.suspects_correct[name] = named
+    for index, attack in enumerate(EXTENDED_SCENARIOS):
+        world = worlds.world_for(attack)
+        kalis = worlds.score(world, seed + index, engines=("kalis",))["kalis"]
+        result.scores[attack] = kalis.score
+        result.suspects_correct[attack] = worlds.names_culprit(world, kalis)
     return result
-
-
-def _collapse(
-    instances: List[SymptomInstance],
-    attack: str,
-    until: Optional[float] = None,
-) -> List[SymptomInstance]:
-    """Collapse per-packet symptom logs into one spanning instance.
-
-    Drip-style attacks (a forged frame every few seconds) are one
-    ongoing adverse event, not dozens; rate detectors legitimately take
-    several packets to accumulate evidence for it.  ``until`` extends
-    the span for misbehaviour that continues past the attacker's own
-    log (a route lie keeps swallowing traffic as long as victims stay
-    re-parented).
-    """
-    if not instances:
-        return []
-    return [
-        SymptomInstance(
-            attack=attack,
-            attacker=instances[0].attacker,
-            instance=0,
-            start=instances[0].start,
-            end=until if until is not None else instances[-1].end,
-        )
-    ]

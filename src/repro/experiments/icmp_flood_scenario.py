@@ -21,24 +21,18 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.attacks.icmp_flood import IcmpFloodAttacker
-from repro.devices.commodity import (
-    ArloCamera,
-    CloudService,
-    LifxBulb,
-    NestThermostat,
-    Smartphone,
-)
+from repro.devices.commodity import ArloCamera, LifxBulb, Smartphone
 from repro.experiments.common import (
     ScenarioResult,
+    add_home_lan,
     apply_countermeasure_score,
     run_kalis_on_trace,
     run_snort_on_trace,
     run_traditional_on_trace,
+    sniff,
+    strike_horizon,
 )
-from repro.proto.iphost import IpRouter, LanDirectory
 from repro.sim.engine import Simulator
-from repro.sim.node import SnifferNode
-from repro.trace.recorder import TraceRecorder
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
 
@@ -82,47 +76,19 @@ def build_world(
     ``flooder.victim_link``.
     """
     rng = SeededRng(seed, "icmp-flood-scenario")
-    lan = LanDirectory()
-    wan = LanDirectory()
-
-    router = IpRouter(NodeId("router"), (0.0, 0.0), lan, wan)
-    sim.add_node(router)
-    cloud = CloudService(NodeId("cloud"), (500.0, 0.0), wan, gateway=router.node_id)
-    sim.add_node(cloud)
-
-    victim = NestThermostat(
-        NodeId("nest"), (6.0, 2.0), lan, cloud.ip, router.node_id,
-        rng=rng.substream("nest"),
-    )
-    sim.add_node(victim)
-    sim.add_node(
-        LifxBulb(NodeId("lifx"), (4.0, 6.0), lan, cloud.ip, router.node_id,
-                 rng=rng.substream("lifx"))
-    )
-    sim.add_node(
-        ArloCamera(NodeId("arlo"), (8.0, 5.0), lan, cloud.ip, router.node_id,
-                   rng=rng.substream("arlo"))
-    )
-    sim.add_node(
-        Smartphone(NodeId("phone"), (3.0, 3.0), lan, router.node_id,
-                   rng=rng.substream("phone"))
-    )
-
-    attacker = IcmpFloodAttacker(
-        NodeId("flooder"),
-        (9.0, 8.0),
-        lan,
-        victim_ip=victim.ip,
-        victim_link=victim.node_id,
-        burst_size=burst_size,
-        burst_interval=burst_interval,
-        start_delay=12.0,
-        max_bursts=symptom_instances,
-        rng=rng.substream("attacker"),
-    )
-    sim.add_node(attacker)
-    return attacker
-
+    home = add_home_lan(sim, rng)
+    lan, cloud_ip, gateway = home.lan, home.cloud.ip, home.router.node_id
+    sim.add_node(LifxBulb(NodeId("lifx"), (4.0, 6.0), lan, cloud_ip, gateway,
+                          rng=rng.substream("lifx")))
+    sim.add_node(ArloCamera(NodeId("arlo"), (8.0, 5.0), lan, cloud_ip, gateway,
+                            rng=rng.substream("arlo")))
+    sim.add_node(Smartphone(NodeId("phone"), (3.0, 3.0), lan, gateway,
+                            rng=rng.substream("phone")))
+    return sim.add_node(IcmpFloodAttacker(
+        NodeId("flooder"), (9.0, 8.0), lan, victim_ip=home.nest.ip,
+        victim_link=home.nest.node_id, burst_size=burst_size, burst_interval=burst_interval,
+        start_delay=12.0, max_bursts=symptom_instances, rng=rng.substream("attacker"),
+    ))
 
 def build(
     seed: int = 7,
@@ -142,15 +108,12 @@ def build(
         sim, seed, symptom_instances,
         burst_interval=burst_interval, burst_size=burst_size,
     )
-    sniffer = SnifferNode(NodeId("observer"), OBSERVER_POSITION)
-    sim.add_node(sniffer)
-    recorder = TraceRecorder().attach(sniffer)
-
-    duration = attacker.start_delay + symptom_instances * burst_interval + 20.0
+    trace = sniff(sim, OBSERVER_POSITION)
+    duration = strike_horizon(attacker)
     sim.run(duration)
 
     return BuiltScenario(
-        trace=recorder.trace,
+        trace=trace,
         instances=attacker.log.instances,
         attacker=attacker.node_id,
         victim=attacker.victim_link,

@@ -23,11 +23,9 @@ from typing import Optional
 from repro.attacks.selective_forwarding import SelectiveForwardingMote
 from repro.core.kalis import KalisNode
 from repro.core.knowledge import KNOWLEDGE_TOPIC_PREFIX
-from repro.devices.wsn import TelosbMote
+from repro.experiments.common import add_ctp_chain, sniff
 from repro.metrics.detection import score_alerts
 from repro.sim.engine import Simulator
-from repro.sim.node import SnifferNode
-from repro.trace.recorder import TraceRecorder
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
 
@@ -88,24 +86,14 @@ def run(
 ) -> ReactivityResult:
     """Run the cold-start reactivity experiment."""
     sim = Simulator(seed=seed, telemetry=telemetry)
-    base = TelosbMote(NodeId("mote-base"), (0.0, 0.0), is_root=True)
-    sim.add_node(base)
-    sim.add_node(TelosbMote(NodeId("mote-1"), (25.0, 0.0)))
     attacker = SelectiveForwardingMote(
-        NodeId("forwarder"),
-        (50.0, 0.0),
-        drop_probability=drop_probability,
+        NodeId("forwarder"), (50.0, 0.0), drop_probability=drop_probability,
         rng=SeededRng(seed, "attacker"),
     )
-    sim.add_node(attacker)
-    sim.add_node(TelosbMote(NodeId("mote-3"), (75.0, 0.0)))
-
-    sniffer = SnifferNode(NodeId("observer"), (50.0, 10.0))
-    sim.add_node(sniffer)
-    recorder = TraceRecorder().attach(sniffer)
+    add_ctp_chain(sim, relay=attacker)
+    trace = sniff(sim, (50.0, 10.0))
     sim.run(RUN_DURATION_S)
 
-    trace = recorder.trace
     if len(trace) == 0:
         raise RuntimeError("scenario produced no captures")
     first_capture_at = trace[0].timestamp

@@ -31,14 +31,14 @@ from repro.attacks.replication import ReplicaMeshNode
 from repro.experiments.common import (
     EngineRun,
     ScenarioResult,
+    add_zigbee_star,
     run_kalis_on_trace,
     run_snort_on_trace,
+    score_node,
+    sniff,
 )
-from repro.proto.mesh import ZigbeeMeshNode
 from repro.sim.engine import Simulator
 from repro.sim.mobility import TogglingMobility
-from repro.sim.node import SnifferNode
-from repro.trace.recorder import TraceRecorder
 from repro.util.ids import NodeId, make_node_id
 from repro.util.rng import SeededRng
 
@@ -65,28 +65,10 @@ def build_run(seed: int) -> BuiltRun:
     """Build and record one toggling-mobility replication run."""
     sim = Simulator(seed=seed)
     rng = SeededRng(seed, "replication-scenario")
-
-    coordinator = ZigbeeMeshNode(NodeId("coordinator"), (0.0, 0.0))
-    sim.add_node(coordinator)
-
-    members: List[ZigbeeMeshNode] = []
-    import math
-
-    for index in range(MEMBER_COUNT):
-        angle = 2.0 * math.pi * index / MEMBER_COUNT
-        position = (14.0 * math.cos(angle), 14.0 * math.sin(angle))
-        member = ZigbeeMeshNode(make_node_id("member", index), position)
-        member.set_routes({coordinator.node_id: coordinator.node_id})
-        sim.add_node(member)
-        members.append(member)
-
-        def report(node=member) -> None:
-            if node.attached:
-                node.send_app(coordinator.node_id, data_length=16)
-
-        sim.schedule_every(
-            2.0, report, first_delay=0.3 + 0.23 * index
-        )
+    coordinator, members = add_zigbee_star(
+        sim, MEMBER_COUNT, radius=14.0, report_every=2.0, first_report=0.3,
+        stagger=0.23,
+    )
 
     mobility = TogglingMobility(
         [member.node_id for member in members],
@@ -114,10 +96,7 @@ def build_run(seed: int) -> BuiltRun:
         sim.add_node(replica)
         replicas.append(replica)
 
-    sniffer = SnifferNode(NodeId("observer"), (4.0, 3.0))
-    sim.add_node(sniffer)
-    recorder = TraceRecorder().attach(sniffer)
-
+    trace = sniff(sim, (4.0, 3.0))
     sim.run(RUN_DURATION_S)
 
     # Ground truth is phase-scoped: each replica is a distinct adverse
@@ -148,7 +127,7 @@ def build_run(seed: int) -> BuiltRun:
                 )
             )
     return BuiltRun(
-        trace=recorder.trace,
+        trace=trace,
         instances=instances,
         mobility_history=list(mobility.phase_history),
     )
@@ -203,7 +182,6 @@ def run(
             per_run.append(("kalis", engine_run))
         if "traditional" in engines:
             from repro.baselines.traditional import TraditionalIds
-            from repro.experiments.common import _score_engine
 
             trad = TraditionalIds.with_static_module_choice(
                 NodeId("trad-1"),
@@ -215,17 +193,9 @@ def run(
                 telemetry=telemetry,
             )
             trad.replay_trace(built.trace)
-            engine_run = _score_engine(
-                name="traditional",
-                engine_kind="traditional",
-                alerts=trad.alerts.alerts,
-                instances=built.instances,
-                trace=built.trace,
-                work_units=trad.cpu_work_units(),
-                active_modules=len(trad.manager.active_modules()),
-                state_bytes=trad.approximate_ram_bytes(),
-                detection_slack=12.0,
-                telemetry=telemetry,
+            engine_run = score_node(
+                "traditional", trad, built.instances, built.trace.duration,
+                detection_slack=12.0, telemetry=telemetry,
             )
             engine_run.extra["static_choice"] = trad.static_choice
             per_run.append(("traditional", engine_run))

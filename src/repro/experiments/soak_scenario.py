@@ -29,6 +29,7 @@ from typing import List
 
 from repro.ckpt import Deployment, SoakReport, soak
 from repro.experiments import chaos_scenario, icmp_flood_scenario
+from repro.experiments.common import strike_horizon
 from repro.sim.engine import Simulator
 from repro.util.ids import NodeId
 
@@ -52,7 +53,7 @@ def build_e1_deployment(
     kalis = KalisNode(NodeId("kalis-1"), telemetry=telemetry)
     kalis.deploy(sim, position=icmp_flood_scenario.OBSERVER_POSITION)
 
-    duration = attacker.start_delay + symptom_instances * attacker.interval + 20.0
+    duration = strike_horizon(attacker)
     return Deployment(
         sim=sim,
         kalis_nodes=[kalis],

@@ -25,11 +25,17 @@ from repro.attacks.base import SymptomInstance
 from repro.attacks.wormhole import WormholePair
 from repro.core.collective import CollectiveKnowledgeNetwork
 from repro.core.kalis import KalisNode
+from repro.experiments.common import (
+    EngineRun,
+    collapse,
+    run_kalis_on_trace,
+    run_traditional_on_trace,
+    sniff,
+    suspects_of,
+)
 from repro.metrics.detection import DetectionScore, score_alerts
 from repro.proto.mesh import ZigbeeMeshNode
 from repro.sim.engine import Simulator
-from repro.sim.node import SnifferNode
-from repro.trace.recorder import TraceRecorder
 from repro.trace.trace import Trace
 from repro.util.ids import NodeId
 
@@ -97,30 +103,15 @@ def build(seed: int = 17) -> BuiltWormhole:
 
     sim.schedule_every(2.0, generate, first_delay=1.0)
 
-    sniffer_a = SnifferNode(NodeId("kalis-A"), (37.0, 8.0))
-    sniffer_b = SnifferNode(NodeId("kalis-B"), (215.0, 8.0))
-    sim.add_node(sniffer_a)
-    sim.add_node(sniffer_b)
-    recorder_a = TraceRecorder().attach(sniffer_a)
-    recorder_b = TraceRecorder().attach(sniffer_b)
-
+    traces = {
+        "kalis-A": sniff(sim, (37.0, 8.0), observer="kalis-A"),
+        "kalis-B": sniff(sim, (215.0, 8.0), observer="kalis-B"),
+    }
     sim.run(RUN_DURATION_S)
 
-    tunnelled = pair.entry.log.instances
-    instances = []
-    if tunnelled:
-        instances.append(
-            SymptomInstance(
-                attack="wormhole",
-                attacker=pair.entry.node_id,
-                instance=0,
-                start=tunnelled[0].start,
-                end=tunnelled[-1].end,
-            )
-        )
     return BuiltWormhole(
-        traces={"kalis-A": recorder_a.trace, "kalis-B": recorder_b.trace},
-        instances=instances,
+        traces=traces,
+        instances=collapse(pair.entry.log.instances, "wormhole"),
         entry=pair.entry.node_id,
         exit=pair.exit.node_id,
     )
@@ -155,6 +146,21 @@ def replay(built: BuiltWormhole, collective: bool, telemetry=None) -> WormholeOu
         score=score,
         attacks_seen=sorted({alert.attack for alert in all_alerts}),
     )
+
+
+def breadth_runs(built: BuiltWormhole) -> Dict[str, EngineRun]:
+    """Score Figure 8's wormhole row on ``built``: Kalis is the
+    collaborating pair, the traditional IDS one all-modules box at the
+    entry, with no way to collaborate.  Kalis' resource figures are one
+    node's, from a solo replay of the entry trace.  Neither engine
+    reports telemetry."""
+    pair = replay(built, collective=True)
+    entry, slack = built.traces["kalis-A"], RUN_DURATION_S
+    traditional, _ = run_traditional_on_trace(entry, built.instances, detection_slack=slack)
+    kalis, _ = run_kalis_on_trace(entry, built.instances, detection_slack=slack)
+    kalis.alerts = pair.alerts_by_node["kalis-A"] + pair.alerts_by_node["kalis-B"]
+    kalis.score, kalis.revoked = pair.score, suspects_of(kalis.alerts)
+    return {"kalis": kalis, "traditional": traditional}
 
 
 def run(

@@ -38,13 +38,18 @@ class TestCustomPacketTypes:
         assert restored == frame
         assert restored.kind_field is LoraKind.JOIN
 
-    def test_custom_module_via_registry_and_config(self):
+    def test_custom_module_via_registry_and_config(self, monkeypatch):
         """A new detection module plugs into a KalisNode purely by name
         — the paper's Java-Reflection extensibility, end to end."""
         from repro.core.kalis import KalisNode
+        from repro.core.modules import registry
         from repro.core.modules.base import DetectionModule, Requirement
         from repro.core.modules.registry import register_module
         from repro.util.ids import NodeId
+
+        # Register into a copy, so the fixture module leaves the
+        # process-wide registry as it found it.
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
 
         @register_module
         class LoraAnomalyModule(DetectionModule):
