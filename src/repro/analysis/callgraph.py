@@ -16,10 +16,10 @@ call lands in* — so a topic constant passed through a wrapper like
 - **wrapper detection**: a function that forwards one of its parameters
   into a Knowledge Base write/read or an event-bus publish/subscribe is
   a *wrapper*; its call sites are then knowledge/topic sites themselves
-  (``self._publish_rate(f"TrafficIn.{kind}", …)`` produces the
-  ``TrafficIn.`` knowgget family even though no ``kb.put`` appears at
-  the call site).  Detection runs to a fixed point, so wrappers of
-  wrappers resolve too.
+  (``self._anomaly_entities("ForwardingAnomaly")`` reads the
+  ``ForwardingAnomaly`` knowgget even though no ``kb.with_label``
+  appears at the call site).  Detection runs to a fixed point, so
+  wrappers of wrappers resolve too.
 
 Resolution is deliberately name-based (no type inference): ``self.kb``
 and ``self.bus`` receiver roles follow spelling conventions, plus the two

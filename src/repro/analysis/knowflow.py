@@ -13,10 +13,10 @@ the two dataflow surfaces Kalis's correctness rests on (paper §IV):
   every ``bus.subscribe`` / ``subscribe_prefix`` site.
 
 Sites hidden behind wrappers are resolved here
-(``self._publish_rate(f"TrafficIn.{kind}", …)`` *is* a ``TrafficIn.``
-writer), and a light local constant propagation follows
-single-assignment locals (``label = f"SharedAlert{i}"; kb.put(label)``
-is a ``SharedAlert`` prefix write).
+(``self._anomaly_entities("ForwardingAnomaly")`` *is* a
+``ForwardingAnomaly`` reader), and a light local constant propagation
+follows single-assignment locals (``label = f"SharedAlert{i}";
+kb.put(label)`` is a ``SharedAlert`` prefix write).
 
 Both graphs export deterministically (:func:`export_json`,
 :func:`export_dot`): iteration is sorted everywhere, so two runs over

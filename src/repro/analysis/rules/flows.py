@@ -2,7 +2,7 @@
 
 These rules run on the :mod:`repro.analysis.knowflow` graph, so sites
 hidden behind wrappers (``ModuleSupervisor._publish``,
-``TrafficStatsModule._publish_rate``) and single-assignment locals are
+``WormholeModule._anomaly_entities``) and single-assignment locals are
 resolved before liveness is judged.
 
 - **KL101** — knowgget read-before-any-write: a defaultless

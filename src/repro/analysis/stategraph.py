@@ -163,6 +163,9 @@ class FieldInfo:
     mutated_lines: List[int] = field(default_factory=list)
     #: Why the assigned value cannot cross pickle, when detected.
     non_picklable: Optional[str] = None
+    #: Does the class assign (or declare) the field, rather than only
+    #: mutate one that a base class's initializer made?
+    assigned: bool = True
 
 
 @dataclass
@@ -310,6 +313,7 @@ def _build_stategraph(project: Project) -> StateGraph:
     _collect_root_calls(state)
     _mark_reachable(state)
     _sort_graph(state)
+    _inherit_origins(state)
     return state
 
 
@@ -449,6 +453,7 @@ def _merge_field(state: ClassState, entry: FieldInfo) -> None:
     if entry.non_picklable and not existing.non_picklable:
         existing.non_picklable = entry.non_picklable
     existing.class_level = existing.class_level or entry.class_level
+    existing.assigned = existing.assigned or entry.assigned
     existing.mutable_literal = existing.mutable_literal or entry.mutable_literal
     if existing.line == 0:
         existing.line = entry.line
@@ -457,11 +462,41 @@ def _merge_field(state: ClassState, entry: FieldInfo) -> None:
 def _mark_mutated(state: ClassState, field_name: str, line: int) -> None:
     entry = state.fields.get(field_name)
     if entry is None:
-        entry = FieldInfo(name=field_name, line=line)
+        entry = FieldInfo(name=field_name, line=line, assigned=False)
         entry.kind = _kind_from_name(field_name, PRIMARY)
         state.fields[field_name] = entry
     if line not in entry.mutated_lines:
         entry.mutated_lines.append(line)
+
+
+def _inherit_origins(state: StateGraph) -> None:
+    """A field a class only mutates takes its origin from a base class.
+
+    ``self._last_alert_at.clear()`` in a detection module's
+    ``on_deactivate`` mutates the dict ``DetectionModule.__init__``
+    assigned, so the subclass lists the base's ``literal`` origin.
+    """
+
+    def base_origin(class_state: ClassState, name: str, seen: Set[str]) -> Optional[str]:
+        for base in class_state.bases:
+            for base_state in state.by_name.get(base, ()):
+                if base_state.qualifier in seen:
+                    continue
+                seen.add(base_state.qualifier)
+                entry = base_state.fields.get(name)
+                if entry is not None and entry.assigned:
+                    return entry.origin
+                origin = base_origin(base_state, name, seen)
+                if origin is not None:
+                    return origin
+        return None
+
+    for class_state in state.classes.values():
+        for entry in class_state.fields.values():
+            if not entry.assigned:
+                origin = base_origin(class_state, entry.name, set())
+                if origin is not None:
+                    entry.origin = origin
 
 
 # -- value classification ------------------------------------------------------

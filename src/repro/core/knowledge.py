@@ -26,8 +26,7 @@ originally created.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.eventbus.bus import EventBus
 from repro.util.ids import NodeId
@@ -90,8 +89,7 @@ def decode_key(key: str) -> Tuple[NodeId, str, Optional[NodeId]]:
     return NodeId(creator_part), label, entity
 
 
-@dataclass(frozen=True)
-class Knowgget:
+class Knowgget(NamedTuple):
     """One piece of knowledge: ``<label, value, creator, entity>``."""
 
     label: str
@@ -161,13 +159,7 @@ class KnowledgeBase:
         existing = self._store.get(key)
         if existing is not None and existing.value == encoded:
             return existing  # unchanged; no event
-        knowgget = Knowgget(
-            label=label,
-            value=encoded,
-            creator=self.owner,
-            entity=entity,
-            collective=collective,
-        )
+        knowgget = Knowgget(label, encoded, self.owner, entity, collective)
         return self._commit(key, knowgget, from_remote=False)
 
     def put_static(self, label: str, value: PrimitiveValue,
@@ -193,7 +185,10 @@ class KnowledgeBase:
             return False
         if knowgget.creator == self.owner:
             return False  # nobody may overwrite our own knowledge
-        self._insert(knowgget.key, knowgget, from_remote=True)
+        key = knowgget.key
+        existing = self._store.get(key)
+        if existing is None or existing.value != knowgget.value:
+            self._commit(key, knowgget, from_remote=True)
         return True
 
     def remove(self, label: str, entity: Optional[NodeId] = None) -> bool:
@@ -205,13 +200,6 @@ class KnowledgeBase:
         self.change_count += 1
         self.bus.publish(KNOWLEDGE_TOPIC_PREFIX + key, None)
         return True
-
-    def _insert(self, key: str, knowgget: Knowgget, from_remote: bool) -> Knowgget:
-        """Store ``knowgget`` under ``key`` unless it holds that value already."""
-        existing = self._store.get(key)
-        if existing is not None and existing.value == knowgget.value:
-            return existing  # unchanged; no event
-        return self._commit(key, knowgget, from_remote)
 
     def _commit(self, key: str, knowgget: Knowgget, from_remote: bool) -> Knowgget:
         self._store[key] = knowgget

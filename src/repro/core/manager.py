@@ -4,16 +4,17 @@
 depending on changes in the Knowledge Base, routing new packet events to
 all the interested parties, and collecting alerts about detected
 incidents" (§IV-B4).  Activation is publish-subscribe (§V, "Dynamic
-Detection Module Configuration"): the manager subscribes to all
-knowledge changes and re-derives activation per requirement label.  At
-registration each module whose activation can change (knowledge-driven,
-not forced active, not sensing) is indexed under the knowledge topic
-``knowledge.<owner>$<label>`` of every label its ``REQUIREMENTS``
-declare; a change re-checks only the modules indexed under its topic.
-Most changes are traffic rates no requirement reads, and cost one dict
-lookup.  The index is sound because a module's activation may depend
-only on its declared ``REQUIREMENTS`` — kalis-lint KL104 rejects a
-knowledge read of any other label inside ``required()``.
+Detection Module Configuration"): the manager subscribes to the
+knowledge its modules' requirements read and re-derives activation per
+requirement label.  At registration each module whose activation can
+change (knowledge-driven, not forced active, not sensing) is indexed
+under the knowledge topic ``knowledge.<owner>$<label>`` of every label
+its ``REQUIREMENTS`` declare, and the manager subscribes once to each
+topic it indexes; a change re-checks only the modules indexed under its
+topic.  Most changes are traffic rates no requirement reads, and reach
+no manager handler at all.  The index is sound because a module's
+activation may depend only on its declared ``REQUIREMENTS`` — kalis-lint
+KL104 rejects a knowledge read of any other label inside ``required()``.
 
 The manager is also where the **traditional-IDS baseline** lives: with
 ``knowledge_driven=False`` every registered module is active at all
@@ -315,7 +316,6 @@ class ModuleManager:
         #: (module, supervision record) in registration order: the walk
         #: :meth:`on_capture` makes.  Derived likewise.
         self._route_cache: List[Tuple[KalisModule, ModuleHealth]] = []
-        kb.subscribe_all(self._on_knowledge_change)
 
     # -- registration -----------------------------------------------------------
 
@@ -337,26 +337,36 @@ class ModuleManager:
         self._route_cache.append((module, self.supervisor.track(module.NAME)))
         if force_active:
             self._forced_active.add(module.NAME)
-        self._index(module)
+        for label in self._index(module):
+            self.kb.subscribe(label, self._on_knowledge_change)
         self._apply_state(module)
         return module
 
-    def _index(self, module: KalisModule) -> None:
-        """File a module under the knowledge topics its requirements read."""
+    def _index(self, module: KalisModule) -> List[str]:
+        """File a module under the knowledge topics its requirements read.
+
+        Returns the labels whose topic had no watcher before.
+        """
         if not self._adaptive(module):
-            return
+            return []
+        unwatched: List[str] = []
         for requirement in module.REQUIREMENTS:
             topic = KNOWLEDGE_TOPIC_PREFIX + encode_key(self.kb.owner, requirement.label)
-            watchers = self._index_cache.setdefault(topic, [])
+            watchers = self._index_cache.get(topic)
+            if watchers is None:
+                watchers = self._index_cache[topic] = []
+                unwatched.append(requirement.label)
             if module not in watchers:
                 watchers.append(module)
+        return unwatched
 
     def rebuild_derived_state(self) -> None:
         """Restore hook: re-derive the requirement index and the routes.
 
         A snapshot may predate them or carry stale ones; either way they
         are a pure function of the registered modules and the
-        supervisor's records.
+        supervisor's records.  The manager's knowledge subscriptions are
+        bus state the snapshot carries, so none is added here.
         """
         self._index_cache = {}
         for module in self.modules():
@@ -429,9 +439,7 @@ class ModuleManager:
             self._reevaluating = False
 
     def _on_knowledge_change(self, event) -> None:
-        modules = self._index_cache.get(event.topic)
-        if modules:
-            self.reevaluate(modules)
+        self.reevaluate(self._index_cache[event.topic])
 
     # -- capture routing --------------------------------------------------------------
 

@@ -81,12 +81,15 @@ class SlidingWindowCounter:
         self._events: Deque[Tuple[float, Hashable]] = deque()
         self._counts: Dict[Hashable, int] = {}
 
-    def record(self, timestamp: float, key: Hashable) -> None:
+    def record(self, timestamp: float, key: Hashable) -> int:
+        """Count one event; returns ``key``'s count after eviction."""
         events = self._events
+        counts = self._counts
         events.append((timestamp, key))
-        self._counts[key] = self._counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + 1
         if events[0][0] < timestamp - self.window:
             self.evict(timestamp)
+        return counts[key]
 
     def evict(self, now: float) -> None:
         horizon = now - self.window

@@ -65,11 +65,16 @@ class WormholeModule(DetectionModule):
         self._source_anomalies: Set[NodeId] = set()
         self._kb_subscription = None
 
-    def bind(self, ctx) -> None:
-        super().bind(ctx)
+    def on_activate(self) -> None:
         # Watch the Knowledge Base for anomaly knowggets from any
         # creator — this is where peer knowledge enters the correlation.
-        self._kb_subscription = ctx.kb.subscribe_all(self._on_knowledge_event)
+        # A dormant module does not correlate, so it does not listen.
+        self._kb_subscription = self.ctx.kb.subscribe_all(self._on_knowledge_event)
+
+    def on_deactivate(self) -> None:
+        if self._kb_subscription is not None:
+            self.ctx.kb.bus.unsubscribe(self._kb_subscription)
+            self._kb_subscription = None
 
     def _on_knowledge_event(self, event) -> None:
         knowgget = event.payload

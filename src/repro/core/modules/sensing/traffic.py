@@ -60,28 +60,24 @@ class TrafficStatsModule(SensingModule):
     def process(self, capture: Capture) -> None:
         kind = capture.packet.traffic_kind().value
         now = capture.timestamp
-        self._global.record(now, kind)
-        self._publish_rate(f"TrafficFrequency.{kind}", self._global.rate(kind))
+        kb = self.ctx.kb
+        window = self.window
+        precision = self.precision
+        count = self._global.record(now, kind)
+        kb.put(f"TrafficFrequency.{kind}", round(count / window, precision))
 
         sender = link_source(capture.packet)
         if sender is not None:
-            self._by_sender.record(now, (kind, sender))
-            self._publish_rate(
-                f"TrafficOut.{kind}",
-                self._by_sender.rate((kind, sender)),
-                entity=sender,
+            count = self._by_sender.record(now, (kind, sender))
+            kb.put(
+                f"TrafficOut.{kind}", round(count / window, precision), entity=sender
             )
         receiver = link_destination(capture.packet)
         if receiver is not None:
-            self._by_receiver.record(now, (kind, receiver))
-            self._publish_rate(
-                f"TrafficIn.{kind}",
-                self._by_receiver.rate((kind, receiver)),
-                entity=receiver,
+            count = self._by_receiver.record(now, (kind, receiver))
+            kb.put(
+                f"TrafficIn.{kind}", round(count / window, precision), entity=receiver
             )
-
-    def _publish_rate(self, label: str, rate: float, entity=None) -> None:
-        self.ctx.kb.put(label, round(rate, self.precision), entity=entity)
 
     # -- programmatic access for detection modules --------------------------------
 

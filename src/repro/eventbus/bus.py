@@ -27,7 +27,7 @@ re-routed, so the bus can never recurse into itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.util.naming import callable_name
 
@@ -37,8 +37,7 @@ Handler = Callable[["Event"], None]
 DEADLETTER_TOPIC = "bus.deadletter"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """An event published on a bus: a topic plus an arbitrary payload."""
 
     topic: str
@@ -178,8 +177,9 @@ class EventBus:
         :class:`DeadLetter` is re-published on :data:`DEADLETTER_TOPIC`
         once the dispatch completes.  ``delivered`` accounting stays
         exact under failure — only handlers that returned normally count.
+        A topic nobody subscribes to costs its counters only: the
+        :class:`Event` is built once there is a handler to receive it.
         """
-        event = Event(topic=topic, payload=payload)
         stats = self._stats
         stats.published += 1
         stats.per_topic[topic] = stats.per_topic.get(topic, 0) + 1
@@ -191,8 +191,12 @@ class EventBus:
             targets = self._resolve(topic)
         if not targets:
             stats.dropped += 1
+            telemetry = self._telemetry
+            if telemetry is not None:  # the topic is still listed by ``obs report``
+                telemetry.metrics.counter("bus_published_total").inc(**self._topic_labels(topic))
             return 0
 
+        event = Event(topic, payload)
         self._dispatching += 1
         delivered = 0
         failures: List[DeadLetter] = []
@@ -226,9 +230,7 @@ class EventBus:
         stats.delivered += delivered
         telemetry = self._telemetry
         if telemetry is not None:
-            labels = {"topic": topic}
-            if self._telemetry_node is not None:
-                labels["node"] = self._telemetry_node
+            labels = self._topic_labels(topic)
             metrics = telemetry.metrics
             metrics.counter("bus_published_total").inc(**labels)
             if delivered:
@@ -250,6 +252,13 @@ class EventBus:
                     )
                 self.publish(DEADLETTER_TOPIC, deadletter)
         return delivered
+
+    def _topic_labels(self, topic: str) -> Dict[str, str]:
+        """Telemetry labels of one topic's bus series."""
+        labels = {"topic": topic}
+        if self._telemetry_node is not None:
+            labels["node"] = self._telemetry_node
+        return labels
 
     # -- introspection -------------------------------------------------------
 

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import gzip
 import json
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.sim.capture import Capture
 from repro.trace.record import TraceRecord
 from repro.util.ids import NodeId
+
+#: Sort key of a record: its capture's timestamp, read without a Python
+#: call per record (``sort`` is stable, so equal timestamps keep order).
+_BY_TIME = attrgetter("capture.timestamp")
 
 
 class Trace:
@@ -21,7 +26,7 @@ class Trace:
 
     def __init__(self, records: Optional[Iterable[TraceRecord]] = None) -> None:
         self._records: List[TraceRecord] = list(records) if records else []
-        self._records.sort(key=lambda record: record.timestamp)
+        self._records.sort(key=_BY_TIME)
 
     # -- container protocol ----------------------------------------------------
 
@@ -40,7 +45,7 @@ class Trace:
         if self._records and record.timestamp < self._records[-1].timestamp:
             # Insert keeping order; rare path (injected symptoms).
             self._records.append(record)
-            self._records.sort(key=lambda item: item.timestamp)
+            self._records.sort(key=_BY_TIME)
         else:
             self._records.append(record)
 

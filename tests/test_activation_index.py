@@ -11,13 +11,25 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ckpt.snapshot import capture, restore
 from repro.core.datastore import DataStore
-from repro.core.kalis import DEFAULT_DETECTION_MODULES, DEFAULT_SENSING_MODULES
-from repro.core.knowledge import Knowgget, KnowledgeBase, encode_value
+from repro.core.kalis import (
+    DEFAULT_DETECTION_MODULES,
+    DEFAULT_SENSING_MODULES,
+    KalisNode,
+)
+from repro.core.knowledge import (
+    KNOWLEDGE_TOPIC_PREFIX,
+    Knowgget,
+    KnowledgeBase,
+    encode_value,
+)
 from repro.core.manager import ModuleManager
 from repro.core.modules.base import DetectionModule, Requirement
 from repro.core.modules.registry import create_module, module_class
 from repro.eventbus.bus import EventBus
+from repro.experiments import icmp_flood_scenario
+from repro.experiments.soak_scenario import build_e1_deployment
 from repro.taxonomy.by_feature import FEATURES
 from repro.taxonomy.modules_map import MODULES_FOR_ATTACK, feature_knowledge
 from repro.util.ids import NodeId
@@ -231,3 +243,74 @@ class TestIndexedRecheck:
         kb.put("Multihop.wifi", True)
         assert rechecked == []
         assert module.active
+
+
+# -- who hears a knowledge change -----------------------------------------------------
+
+
+def _manager_subscriptions(node, topic):
+    """Active subscriptions of the node's manager handler on one topic."""
+    handler = node.manager._on_knowledge_change
+    return sum(
+        1 for subscription in node.bus._exact.get(topic, ())
+        if subscription.active and subscription.handler == handler
+    )
+
+
+def _assert_changes_reach_their_readers(node):
+    """Every requirement topic reaches the manager once; every other
+    knowledge topic the run published (the traffic rates among them)
+    reaches no handler at all."""
+    requirement_topics = set(node.manager._index_cache)
+    assert requirement_topics
+    published = [
+        topic for topic in node.bus.topic_counts()
+        if topic.startswith(KNOWLEDGE_TOPIC_PREFIX)
+    ]
+    assert any("$TrafficFrequency." in topic for topic in published)
+    for topic in sorted(requirement_topics | set(published)):
+        if topic in requirement_topics:
+            assert _manager_subscriptions(node, topic) == 1, topic
+            assert node.bus.subscriber_count(topic) == 1, topic
+        else:
+            assert node.bus.subscriber_count(topic) == 0, topic
+
+
+class TestKnowledgeSubscriptions:
+    def test_e1_replay_delivers_each_change_only_to_its_readers(self):
+        trace = icmp_flood_scenario.build(seed=7, symptom_instances=4).trace
+        node = KalisNode(NodeId("kalis-1"))
+        for record in trace:
+            node.feed(record.capture)
+        _assert_changes_reach_their_readers(node)
+        assert node.alerts.alerts
+
+    def test_restore_keeps_one_manager_subscription_per_topic(self):
+        deployment = build_e1_deployment(seed=7, symptom_instances=4)
+        deployment.run_to(deployment.end_time / 2)
+        restored = restore(capture(deployment))
+        node = restored.kalis_nodes[0]
+        node.rebuild_derived_state()  # a second restore hook call adds nothing
+        restored.run_to(restored.end_time)
+        _assert_changes_reach_their_readers(node)
+        assert node.deadletters == []
+
+    def test_wormhole_module_listens_only_while_active(self):
+        kb = KnowledgeBase(OWNER, EventBus())
+        manager = ModuleManager(
+            kb=kb, datastore=DataStore(), bus=kb.bus, node_id=OWNER,
+        )
+        module = manager.register(create_module("WormholeModule"))
+        remote_topic = KNOWLEDGE_TOPIC_PREFIX + "kalis-2$ForwardingAnomaly@B1"
+        rate_topic = KNOWLEDGE_TOPIC_PREFIX + "kalis-1$TrafficFrequency.ICMP"
+        assert not module.active
+        assert kb.bus.subscriber_count(remote_topic) == 0
+        for round_ in range(2):
+            kb.put("Multihop.802154", True)
+            assert module.active
+            assert kb.bus.subscriber_count(remote_topic) == 1, round_
+            assert kb.bus.subscriber_count(rate_topic) == 1, round_
+            kb.put("Multihop.802154", False)
+            assert not module.active
+            assert kb.bus.subscriber_count(remote_topic) == 0, round_
+            assert kb.bus.subscriber_count(rate_topic) == 0, round_

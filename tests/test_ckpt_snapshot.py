@@ -1,16 +1,21 @@
 """Whole-deployment capture/restore and the canonical-output oracle."""
 
+import json
 import pickle
+import struct
 
 import pytest
 
 from repro.attacks import JammingNode, WormholePair
 from repro.ckpt import (
+    MAGIC,
     Deployment,
     SnapshotCorrupt,
+    SnapshotStore,
     canonical_outputs,
     capture,
     restore,
+    restore_latest,
 )
 from repro.core.kalis import KalisNode
 from repro.devices.wsn import build_wsn
@@ -147,8 +152,8 @@ class TestRestoreSeams:
         assert any("icmp_flood by=IcmpFloodModule" in line for line in expected[0])
 
     def test_snapshot_without_requirement_index_still_activates(self):
-        """A node pickled before the manager kept a requirement index
-        rebuilds it on restore; without that, every knowledge change
+        """A node pickled without the manager's requirement index
+        rebuilds it on restore; without that, every requirement change
         would dead-letter in the manager's handler and activation would
         silently freeze."""
         node = KalisNode(NodeId("kalis-1"))
@@ -158,6 +163,23 @@ class TestRestoreSeams:
         restored.kb.put("Multihop.wifi", False)
         assert restored.manager.module("IcmpFloodModule").active
         assert restored.deadletters == []
+
+    def test_v3_snapshot_is_skipped_as_version_skewed(self, tmp_path):
+        """Schema 3 pickled ``Knowgget`` and ``Event`` as dataclasses, whose
+        state the tuple forms cannot load.  A v3 file is refused before
+        its payload is read, and the walk resumes from the older v4 one."""
+        store = SnapshotStore(tmp_path)
+        deployment = build_e1_deployment(seed=7, symptom_instances=4)
+        deployment.run_to(8.0)
+        store.save(capture(deployment), deployment.meta())
+        deployment.run_to(16.0)
+        skewed = store.save(capture(deployment), deployment.meta())
+        _rewrite_version(skewed, 3)
+
+        restored = restore_latest(store)
+        assert restored.now == pytest.approx(8.0)
+        assert [path for path, _reason in store.skipped] == [skewed]
+        assert "schema version 3" in store.skipped[0][1]
 
     def test_snapshot_with_delivery_switches_restores_same_outputs(self):
         """A simulator pickled when it still had the brute-force and
@@ -174,6 +196,19 @@ class TestRestoreSeams:
         assert restored.sim.use_batched_delivery is True  # the old layout
         restored.run_to(restored.end_time)
         assert canonical_outputs(restored) == baseline
+
+
+def _rewrite_version(path, version):
+    """Re-stamp a snapshot file's header with another schema version."""
+    raw = path.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack(">I", raw[len(MAGIC):start])
+    header = json.loads(raw[start:start + length])
+    header["version"] = version
+    encoded = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+    path.write_bytes(
+        MAGIC + struct.pack(">I", len(encoded)) + encoded + raw[start + length:]
+    )
 
 
 def _jamming_deployment():

@@ -99,6 +99,29 @@ class TestSlidingWindowCounter:
             assert counter.items() == reference.items()
             assert counter.total() == reference.total()
 
+    @settings(max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0, 100, allow_nan=False), st.integers(0, 4)),
+            max_size=50,
+        )
+    )
+    def test_record_returns_the_count_and_keeps_the_old_counts(self, events):
+        """``record`` returns ``count(key)`` after its eviction, and leaves
+        the counts the earlier ``record`` (which returned nothing) left, in
+        or out of time order."""
+        counter = SlidingWindowCounter(window=10.0)
+        reference = SlidingWindowCounter(window=10.0)
+        for timestamp, key in events:
+            returned = counter.record(timestamp, key)
+            assert returned == counter.count(key)
+            reference._events.append((timestamp, key))
+            reference._counts[key] = reference._counts.get(key, 0) + 1
+            if reference._events[0][0] < timestamp - reference.window:
+                reference.evict(timestamp)
+            assert counter.items() == reference.items()
+            assert list(counter._events) == list(reference._events)
+
 
 class TestEwmaTracker:
     def test_first_sample_sets_mean(self):

@@ -13,6 +13,7 @@ from repro.eventbus.bus import (
     EventBus,
     Subscription,
 )
+from repro.obs import Telemetry
 from repro.util.naming import callable_name
 
 
@@ -129,6 +130,49 @@ class TestStats:
         bus.subscribe("outer", lambda e: bus.publish("inner"))
         bus.publish("outer")
         assert received == ["inner"]
+
+    def test_unheard_publish_counts_in_telemetry(self, bus):
+        """A topic with no handler is still published: ``obs report``
+        lists it, with nothing delivered."""
+        telemetry = Telemetry()
+        bus.bind_telemetry(telemetry, node="k1")
+        bus.subscribe("t", lambda e: None)
+        bus.publish("t")
+        bus.publish("unheard")
+        bus.publish("unheard")
+        metrics = telemetry.metrics
+        published = metrics.get("bus_published_total")
+        assert published.value(node="k1", topic="t") == 1
+        assert published.value(node="k1", topic="unheard") == 2
+        delivered = metrics.get("bus_delivered_total")
+        assert delivered.value(node="k1", topic="t") == 1
+        assert delivered.value(node="k1", topic="unheard") == 0
+
+
+class TestEvent:
+    EVENT = Event("knowledge.T1$Multihop", 3)
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            self.EVENT.topic = "other"
+        with pytest.raises(AttributeError):
+            self.EVENT.payload = None
+
+    def test_equality_and_hash_are_the_field_tuple(self):
+        fields = ("knowledge.T1$Multihop", 3)
+        assert self.EVENT == Event(topic="knowledge.T1$Multihop", payload=3)
+        assert self.EVENT == fields
+        assert hash(self.EVENT) == hash(fields)
+        assert Event("t") == Event("t", None) != Event("t", 0.5)
+
+    def test_repr_is_pinned(self):
+        assert repr(self.EVENT) == "Event(topic='knowledge.T1$Multihop', payload=3)"
+        assert repr(Event("alert")) == "Event(topic='alert', payload=None)"
+
+    def test_pickle_round_trips(self):
+        restored = pickle.loads(pickle.dumps(self.EVENT, protocol=4))
+        assert restored == self.EVENT
+        assert type(restored) is Event
 
 
 class TestExceptionSafety:

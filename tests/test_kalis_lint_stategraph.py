@@ -328,6 +328,63 @@ class TestKL205CrossShardAliasing:
         assert [f.key for f in findings] == ["Simulator.__init__"]
 
 
+class TestFieldOrigins:
+    FILES = {
+        "repro/core/modules.py": """
+        class Base:
+            def __init__(self, source):
+                self._seen = {}
+                self._source = source
+
+        class Middle(Base):
+            pass
+
+        class Leaf(Middle):
+            def reset(self):
+                self._seen.clear()
+                self._source.update({})
+                self._own.append(1)
+
+        class Rebinding(Base):
+            def reset(self, registry):
+                self._seen.clear()
+                self._seen = registry.seen
+        """,
+    }
+
+    def _origins(self, tmp_path):
+        state = derive_stategraph(make_project(tmp_path, self.FILES))
+        return {
+            (cls.name, name): entry.origin
+            for cls in state.classes.values()
+            for name, entry in cls.fields.items()
+        }
+
+    def test_mutated_only_field_takes_a_base_initializer_origin(self, tmp_path):
+        """Through an intermediate class, each field keeps its own origin."""
+        origins = self._origins(tmp_path)
+        assert origins[("Base", "_seen")] == "literal"
+        assert origins[("Leaf", "_seen")] == "literal"
+        assert origins[("Leaf", "_source")] == "param"
+
+    def test_unknown_without_a_base_or_with_an_own_assignment(self, tmp_path):
+        """Only a field the class never assigns inherits an origin."""
+        origins = self._origins(tmp_path)
+        assert origins[("Leaf", "_own")] == "unknown"
+        assert origins[("Rebinding", "_seen")] == "unknown"
+
+    def test_real_detection_modules_list_the_alert_cooldown_as_literal(self):
+        project = Project.load([ROOT / "src" / "repro"], root=ROOT)
+        state = derive_stategraph(project)
+        mutating = [
+            cls for cls in state.classes.values()
+            if cls.module.startswith("repro.core.modules.detection.")
+            and "_last_alert_at" in cls.fields
+        ]
+        assert len(mutating) == 8
+        assert {cls.fields["_last_alert_at"].origin for cls in mutating} == {"literal"}
+
+
 class TestStateGraphExports:
     def test_real_tree_exports_are_byte_identical(self):
         """Two independent derivations render identical JSON and DOT."""

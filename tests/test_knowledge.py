@@ -1,5 +1,7 @@
 """Tests for knowggets and the Knowledge Base (paper §IV-B3 / §V)."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -215,6 +217,43 @@ class TestCollectiveRules:
         assert [k.label for k in shared] == ["Shared"]
 
 
+class TestKnowggetValue:
+    KNOWGGET = Knowgget("TrafficIn.ICMPReply", "4.5", T1, SENSOR, True)
+    FIELDS = ("TrafficIn.ICMPReply", "4.5", T1, SENSOR, True)
+
+    def test_fields_are_read_only(self):
+        for name in ("label", "value", "creator", "entity", "collective"):
+            with pytest.raises(AttributeError):
+                setattr(self.KNOWGGET, name, None)
+
+    def test_equality_and_hash_are_the_field_tuple(self):
+        assert self.KNOWGGET == self.FIELDS
+        assert hash(self.KNOWGGET) == hash(self.FIELDS)
+        assert self.KNOWGGET == Knowgget(
+            label="TrafficIn.ICMPReply", value="4.5", creator=T1,
+            entity=SENSOR, collective=True,
+        )
+        assert Knowgget("Multihop", "true", T1) == ("Multihop", "true", T1, None, False)
+        assert self.KNOWGGET != Knowgget("TrafficIn.ICMPReply", "4.5", T1, SENSOR)
+
+    def test_repr_is_pinned(self):
+        assert repr(self.KNOWGGET) == (
+            "Knowgget(label='TrafficIn.ICMPReply', value='4.5', "
+            "creator=NodeId(value='T1'), entity=NodeId(value='SensorA'), "
+            "collective=True)"
+        )
+        assert repr(Knowgget("Multihop", "true", T1)) == (
+            "Knowgget(label='Multihop', value='true', creator=NodeId(value='T1'), "
+            "entity=None, collective=False)"
+        )
+
+    def test_pickle_round_trips(self):
+        restored = pickle.loads(pickle.dumps(self.KNOWGGET, protocol=4))
+        assert restored == self.KNOWGGET
+        assert type(restored) is Knowgget
+        assert restored.key == "T1$TrafficIn.ICMPReply@SensorA"
+
+
 labels = st.from_regex(r"[A-Za-z][A-Za-z0-9_.]{0,15}", fullmatch=True).filter(
     lambda l: "$" not in l and "@" not in l and not l.startswith(".")
 )
@@ -241,7 +280,11 @@ def reference_put(kb, label, value, entity=None, collective=False):
         entity=entity,
         collective=collective,
     )
-    return kb._insert(encode_key(kb.owner, label, entity), knowgget, from_remote=False)
+    key = encode_key(kb.owner, label, entity)
+    existing = kb._store.get(key)
+    if existing is not None and existing.value == knowgget.value:
+        return existing
+    return kb._commit(key, knowgget, from_remote=False)
 
 
 class RecordingKb:

@@ -68,6 +68,15 @@ class TestTrace:
         trace.append(TraceRecord(capture_at(2.0)))
         assert [r.timestamp for r in trace] == [2.0, 5.0]
 
+    def test_equal_timestamps_keep_input_order(self):
+        """Construction and an out-of-order append sort stably."""
+        records = [TraceRecord(capture_at(t, seq)) for seq, t in
+                   enumerate([2.0, 1.0, 2.0, 1.0, 2.0])]
+        trace = Trace(records)
+        assert [r.capture.packet.payload.payload.sequence for r in trace] == [1, 3, 0, 2, 4]
+        trace.append(TraceRecord(capture_at(1.0, seq=5)))
+        assert [r.capture.packet.payload.payload.sequence for r in trace] == [1, 3, 5, 0, 2, 4]
+
     def test_duration(self):
         trace = Trace([TraceRecord(capture_at(1.0)), TraceRecord(capture_at(4.5))])
         assert trace.duration == 3.5
