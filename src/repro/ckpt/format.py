@@ -34,7 +34,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 MAGIC = b"KALISNAP"
 
 #: Schema version; bump on any layout or pickled-object-graph change.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Snapshot filename shape: ``snap-<sequence>.ksnap``.
 SNAPSHOT_SUFFIX = ".ksnap"

@@ -28,6 +28,10 @@ class Medium(enum.Enum):
     BLUETOOTH = "bluetooth"
     WIRED = "wired"
 
+    #: ``Enum`` hashes a member's name in Python; members are singletons,
+    #: so the identity hash, computed in C, keys dicts the same way.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -58,6 +62,8 @@ class PacketKind(enum.Enum):
     BLE = "BLE"
     MAC_802154 = "802154MAC"
     OTHER = "Other"
+
+    __hash__ = object.__hash__  # as for Medium
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -134,7 +140,11 @@ class Packet:
         Walks inner-to-outer and returns the first non-``OTHER`` kind, so
         a WiFi frame carrying an IP/TCP SYN classifies as ``TCP_SYN``.
         """
-        stack = list(self.layers())
+        stack = []
+        layer: Optional[Packet] = self
+        while layer is not None:
+            stack.append(layer)
+            layer = layer.payload
         for layer in reversed(stack):
             layer_kind = layer.kind()
             if layer_kind is not PacketKind.OTHER:

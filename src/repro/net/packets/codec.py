@@ -15,10 +15,9 @@ from the public packet modules at import time and can be extended with
 Both directions are driven by each type's field annotations, resolved
 once at registration: every field that needs more than a passthrough
 gets its own encoder and decoder (a ``NodeId`` as its tagged string and
-back as an interned id, an enum member by name, a flag by value, or a
-nested packet through :func:`encode_packet` and :func:`decode_packet`).
-Equal id strings decode to one shared ``NodeId`` per ``nodes`` table, so
-a trace load validates each distinct id once.
+back through the interning ``NodeId(value)``, an enum member by name, a
+flag by value, or a nested packet through :func:`encode_packet` and
+:func:`decode_packet`).
 """
 
 from __future__ import annotations
@@ -43,12 +42,12 @@ from repro.net.packets import (
     zigbee as _zigbee,
 )
 from repro.net.packets.base import Packet
-from repro.util.ids import NodeId, interned_node_id
+from repro.util.ids import NodeId
 
 #: Encodes one non-None field value into its JSON-safe form.
 _FieldEncoder = Callable[[Any], Any]
-#: Decodes one encoded, non-None field value; the dict interns NodeIds.
-_FieldDecoder = Callable[[Any, Dict[str, NodeId]], Any]
+#: Decodes one encoded, non-None field value.
+_FieldDecoder = Callable[[Any], Any]
 
 _PASSTHROUGH_TYPES = (bool, int, float, str)
 
@@ -73,8 +72,8 @@ def _encode_node(value: NodeId) -> Dict[str, str]:
     return {"__node__": value.value}
 
 
-def _decode_node(value: Dict[str, str], nodes: Dict[str, NodeId]) -> NodeId:
-    return interned_node_id(value["__node__"], nodes)
+def _decode_node(value: Dict[str, str]) -> NodeId:
+    return NodeId(value["__node__"])
 
 
 # The nested codecs resolve encode_packet/decode_packet per call: a
@@ -84,8 +83,8 @@ def _encode_nested(value: Packet) -> Dict[str, Any]:
     return encode_packet(value)
 
 
-def _decode_nested(value: Dict[str, Any], nodes: Dict[str, NodeId]) -> Packet:
-    return decode_packet(value, nodes)
+def _decode_nested(value: Dict[str, Any]) -> Packet:
+    return decode_packet(value)
 
 
 def _member_codec(enum_type: Type[enum.Enum]) -> Tuple[_FieldEncoder, _FieldDecoder]:
@@ -100,7 +99,7 @@ def _member_codec(enum_type: Type[enum.Enum]) -> Tuple[_FieldEncoder, _FieldDeco
     def encode(value: enum.Enum) -> Dict[str, Any]:
         return {tag: name, "value": value.value if flag else value.name}
 
-    def decode(value: Dict[str, Any], nodes: Dict[str, NodeId]) -> enum.Enum:
+    def decode(value: Dict[str, Any]) -> enum.Enum:
         if _ENUM_TYPES.get(value[tag]) is not enum_type:
             raise ValueError(f"{tag} {value[tag]!r} is not the registered {name}")
         return lookup(value["value"])
@@ -201,29 +200,19 @@ def encode_packet(packet: Packet) -> Dict[str, Any]:
     return encoded
 
 
-def decode_packet(
-    data: Dict[str, Any], nodes: Optional[Dict[str, NodeId]] = None
-) -> Packet:
-    """Reconstruct a packet from :func:`encode_packet` output.
-
-    :param nodes: id string -> ``NodeId`` table shared by every address
-        this call decodes, nested layers included; pass one table across
-        many calls (as :meth:`repro.trace.Trace.load` does per file) to
-        share ids across packets too.  A fresh table by default.
-    """
+def decode_packet(data: Dict[str, Any]) -> Packet:
+    """Reconstruct a packet from :func:`encode_packet` output."""
     if "__packet__" not in data:
         raise ValueError("missing __packet__ discriminator in encoded packet")
     codec = _PACKET_TYPES.get(data["__packet__"])
     if codec is None:
         raise ValueError(f"unknown packet type {data['__packet__']!r}")
-    if nodes is None:
-        nodes = {}
     kwargs = dict(data)
     del kwargs["__packet__"]
     for name, decode in codec.field_decoders:
         value = kwargs.get(name)
         if value is not None:
-            kwargs[name] = decode(value, nodes)
+            kwargs[name] = decode(value)
     return codec.packet_type(**kwargs)
 
 

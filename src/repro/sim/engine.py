@@ -360,9 +360,9 @@ class Simulator:
             if receiver is sender:
                 continue
             if receiver.alive and medium in receiver.mediums:
-                # NodeId is a single-field ordered dataclass; sorting by
-                # the bare .value string gives the same order without
-                # the dataclass __lt__ tuple machinery.
+                # NodeId orders by its value string; sorting by the bare
+                # .value gives the same order without a Python-level
+                # NodeId.__lt__ call per comparison.
                 chosen.append((receiver.node_id.value, receiver, float(rssis[row])))
         if not chosen:
             return 0

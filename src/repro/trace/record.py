@@ -9,7 +9,7 @@ from typing import Any, Dict, Optional
 from repro.net.packets.base import Medium
 from repro.net.packets.codec import decode_packet, encode_packet
 from repro.sim.capture import Capture
-from repro.util.ids import NodeId, interned_node_id
+from repro.util.ids import NodeId
 
 #: Medium by its stored value: a dict hit instead of ``Medium(value)``.
 _MEDIUM_BY_VALUE = MappingProxyType({medium.value: medium for medium in Medium})
@@ -67,31 +67,18 @@ class TraceRecord:
         return data
 
     @classmethod
-    def from_dict(
-        cls, data: Dict[str, Any], nodes: Optional[Dict[str, NodeId]] = None
-    ) -> "TraceRecord":
-        """Rebuild a record from :meth:`to_dict` output.
-
-        :param nodes: id string -> ``NodeId`` table shared with
-            :func:`~repro.net.packets.codec.decode_packet`; pass one table
-            for a whole file so equal ids become one object.
-        """
-        if nodes is None:
-            nodes = {}
+    def from_dict(cls, data: Dict[str, Any]) -> "TraceRecord":
+        """Rebuild a record from :meth:`to_dict` output."""
         capture = Capture(
-            packet=decode_packet(data["packet"], nodes),
+            packet=decode_packet(data["packet"]),
             timestamp=float(data["t"]),
             medium=_MEDIUM_BY_VALUE[data["medium"]],
             rssi=float(data["rssi"]),
-            observer=(
-                interned_node_id(data["observer"], nodes) if "observer" in data else None
-            ),
+            observer=NodeId(data["observer"]) if "observer" in data else None,
         )
         return cls(
             capture=capture,
             attack=data.get("attack"),
-            attacker=(
-                interned_node_id(data["attacker"], nodes) if "attacker" in data else None
-            ),
+            attacker=NodeId(data["attacker"]) if "attacker" in data else None,
             instance=data.get("instance"),
         )

@@ -6,11 +6,10 @@ import gzip
 import json
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Callable, Iterable, Iterator, List, Optional, Set
 
 from repro.sim.capture import Capture
 from repro.trace.record import TraceRecord
-from repro.util.ids import NodeId
 
 #: Sort key of a record: its capture's timestamp, read without a Python
 #: call per record (``sort`` is stable, so equal timestamps keep order).
@@ -109,20 +108,18 @@ class Trace:
     def load(cls, path) -> "Trace":
         """Read a trace written by :meth:`save`.
 
-        Equal node ids share one ``NodeId`` across the whole file.  A
-        malformed record raises ``ValueError`` naming ``path:line``.
+        A malformed record raises ``ValueError`` naming ``path:line``.
         """
         path = Path(path)
         opener = gzip.open if path.suffix == ".gz" else open
         records = []
-        nodes: Dict[str, NodeId] = {}
         with opener(path, "rt", encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    records.append(TraceRecord.from_dict(json.loads(line), nodes))
+                    records.append(TraceRecord.from_dict(json.loads(line)))
                 except (ValueError, KeyError, TypeError) as error:
                     raise ValueError(
                         f"{path}:{line_number}: malformed trace record: {error}"

@@ -9,16 +9,22 @@ us validate identifiers at construction time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Tuple
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.:\-]*$")
 
 
-@dataclass(frozen=True, order=True)
+#: The one ``NodeId`` per id string, so equality and hashing are identity.
+_INTERNED: Dict[str, "NodeId"] = {}
+
+
+@functools.total_ordering
+@dataclass(frozen=True, eq=False, init=False)
 class NodeId:
     """An identifier for a node, device, or IDS instance.
 
@@ -27,27 +33,38 @@ class NodeId:
     ``$`` and ``@`` characters are reserved because the Kalis knowledge
     base uses them as separators in knowgget keys (see
     :mod:`repro.core.knowledge`).
+
+    ``NodeId(value)`` returns the one instance for ``value`` in this
+    process, validated on first use; copying or unpickling goes through
+    it too.  Equal ids are therefore one object, so equality and hashing
+    are object identity (run in C), and ordering is by value.
     """
 
     value: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, str):
-            raise TypeError(f"NodeId value must be str, got {type(self.value).__name__}")
-        if not _ID_PATTERN.match(self.value):
-            raise ValueError(
-                f"invalid node id {self.value!r}: must match {_ID_PATTERN.pattern}"
-            )
+    def __new__(cls, value: str) -> "NodeId":
+        try:
+            return _INTERNED[value]
+        except (KeyError, TypeError):  # a new id, or an unhashable value
+            pass
+        if not isinstance(value, str):
+            raise TypeError(f"NodeId value must be str, got {type(value).__name__}")
+        if not _ID_PATTERN.match(value):
+            raise ValueError(f"invalid node id {value!r}: must match {_ID_PATTERN.pattern}")
+        value = str.__str__(value)  # a plain copy of a str subclass
+        node = object.__new__(cls)
+        object.__setattr__(node, "value", value)
+        # A str subclass with its own hash can miss the lookup above;
+        # setdefault never replaces the id interned first.
+        return _INTERNED.setdefault(value, node)
 
-    # Hand-written rather than generated: the generated pair builds a
-    # one-element tuple on every dict lookup keyed by a NodeId.
-    def __eq__(self, other: object) -> bool:
+    def __reduce__(self) -> Tuple[type, Tuple[str]]:
+        return NodeId, (self.value,)
+
+    def __lt__(self, other: object) -> bool:
         if isinstance(other, NodeId):
-            return self.value == other.value
+            return self.value < other.value
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
 
     def __str__(self) -> str:
         return self.value
@@ -55,19 +72,6 @@ class NodeId:
     def with_suffix(self, suffix: str) -> "NodeId":
         """Return a derived id, e.g. ``NodeId('mote1').with_suffix('clone')``."""
         return NodeId(f"{self.value}-{suffix}")
-
-
-def interned_node_id(value: str, table: Dict[str, NodeId]) -> NodeId:
-    """The one ``NodeId`` for ``value`` in ``table``, built and validated on first use.
-
-    Decoders share a table across everything they read at once (a whole
-    trace file), so equal ids become one object: validation runs once
-    per distinct id, and dict lookups keyed by the id hit on identity.
-    """
-    node = table.get(value)
-    if node is None:
-        node = table[value] = NodeId(value)
-    return node
 
 
 def stable_hash(node: NodeId) -> int:

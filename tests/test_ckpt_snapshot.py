@@ -167,19 +167,15 @@ class TestRestoreSeams:
     def test_v3_snapshot_is_skipped_as_version_skewed(self, tmp_path):
         """Schema 3 pickled ``Knowgget`` and ``Event`` as dataclasses, whose
         state the tuple forms cannot load.  A v3 file is refused before
-        its payload is read, and the walk resumes from the older v4 one."""
-        store = SnapshotStore(tmp_path)
-        deployment = build_e1_deployment(seed=7, symptom_instances=4)
-        deployment.run_to(8.0)
-        store.save(capture(deployment), deployment.meta())
-        deployment.run_to(16.0)
-        skewed = store.save(capture(deployment), deployment.meta())
-        _rewrite_version(skewed, 3)
+        its payload is read, and the walk resumes from the older current
+        one."""
+        _assert_latest_skipped_as(tmp_path, 3)
 
-        restored = restore_latest(store)
-        assert restored.now == pytest.approx(8.0)
-        assert [path for path, _reason in store.skipped] == [skewed]
-        assert "schema version 3" in store.skipped[0][1]
+    def test_v4_snapshot_is_skipped_as_version_skewed(self, tmp_path):
+        """Schema 4 pickled each ``NodeId`` by its instance state, which
+        the interning constructor cannot load (``NodeId.__new__()`` needs
+        the value).  A v4 file is refused the same way."""
+        _assert_latest_skipped_as(tmp_path, 4)
 
     def test_snapshot_with_delivery_switches_restores_same_outputs(self):
         """A simulator pickled when it still had the brute-force and
@@ -196,6 +192,23 @@ class TestRestoreSeams:
         assert restored.sim.use_batched_delivery is True  # the old layout
         restored.run_to(restored.end_time)
         assert canonical_outputs(restored) == baseline
+
+
+def _assert_latest_skipped_as(tmp_path, version):
+    """Re-stamp the later of two E1 snapshots as ``version``; restore must
+    skip it as version-skewed and resume from the earlier one."""
+    store = SnapshotStore(tmp_path)
+    deployment = build_e1_deployment(seed=7, symptom_instances=4)
+    deployment.run_to(8.0)
+    store.save(capture(deployment), deployment.meta())
+    deployment.run_to(16.0)
+    skewed = store.save(capture(deployment), deployment.meta())
+    _rewrite_version(skewed, version)
+
+    restored = restore_latest(store)
+    assert restored.now == pytest.approx(8.0)
+    assert [path for path, _reason in store.skipped] == [skewed]
+    assert f"schema version {version}" in store.skipped[0][1]
 
 
 def _rewrite_version(path, version):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.packets.base import Packet, RawPayload
+from repro.net.packets.base import Packet, PacketKind, RawPayload
 from repro.net.packets.bluetooth import BlePacket, BleRole
 from repro.net.packets.codec import (
     decode_packet,
@@ -316,10 +316,10 @@ def test_decode_matches_reference_decoder(packet):
 @given(any_packets, any_packets)
 def test_shared_nodes_table_interns_across_packets(first, second):
     nodes = {}
-    decoded = [decode_packet(encode_packet(packet), nodes) for packet in (first, second)]
+    decoded = [decode_packet(encode_packet(packet)) for packet in (first, second)]
     assert decoded == [first, second]
     for node in node_id_objects(decoded[0]) + node_id_objects(decoded[1]):
-        assert nodes[node.value] is node
+        assert nodes.setdefault(node.value, node) is node is NodeId(node.value)
 
 
 @given(any_packets)
@@ -340,3 +340,13 @@ def test_find_layer_is_first_match_in_layers(packet):
             (layer for layer in packet.layers() if isinstance(layer, layer_type)), None
         )
         assert packet.find_layer(layer_type) is first
+
+
+@given(any_packets)
+def test_traffic_kind_is_innermost_specific_kind_in_layers(packet):
+    kinds = [layer.kind() for layer in packet.layers()]
+    expected = next(
+        (kind for kind in reversed(kinds) if kind is not PacketKind.OTHER),
+        PacketKind.OTHER,
+    )
+    assert packet.traffic_kind() is expected
