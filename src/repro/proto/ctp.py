@@ -114,13 +114,19 @@ class CtpNode(SimNode):
         self.send(Medium.IEEE_802_15_4, self._mac_frame(BROADCAST, beacon))
 
     def _update_route(self) -> None:
+        """One pass: the lowest ``etx + 1`` below :data:`NO_ROUTE_ETX`
+        wins, ties going to the smallest id (an id-ordered scan's pick)."""
         if self.is_root:
             return
         best_parent: Optional[NodeId] = None
         best_etx = NO_ROUTE_ETX
-        for neighbor, neighbor_etx in sorted(self.neighbor_etx.items()):
+        for neighbor, neighbor_etx in self.neighbor_etx.items():
             candidate = neighbor_etx + 1
-            if candidate < best_etx:
+            if candidate < best_etx or (
+                candidate == best_etx
+                and best_parent is not None
+                and neighbor.value < best_parent.value
+            ):
                 best_parent = neighbor
                 best_etx = candidate
         if best_parent is not None:

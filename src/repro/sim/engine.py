@@ -17,7 +17,7 @@ receivers are scheduled as a single pooled :class:`_DeliveryBatch` heap
 entry per transmission.  The per-pair scalar radio model this path must
 reproduce bit for bit lives in the test suite as the reference.
 
-Determinism: survivors are dispatched sorted by node id, tie-breaking in
+Determinism: survivors are dispatched in node-id order, tie-breaking in
 the event queue is by insertion sequence, and RSSI/loss draws are
 order-independent per-(sender, receiver, transmission-sequence) hashed
 substreams (:class:`repro.util.rng.HashedStream`) — so candidate
@@ -71,10 +71,10 @@ class Simulator:
         self._delivery_pool: List["_DeliveryBatch"] = []
         #: Per-(medium, sender) in-range candidate snapshots — (grid,
         #: grid version, params, candidate count, nodes, RNG tails,
-        #: mean-RSSI array).  Valid only while the grid object, its
-        #: version stamp, and the model's (frozen) path-loss params are
-        #: all unchanged, so any add/remove/move — including the
-        #: sender's own — or model swap forces a rebuild.
+        #: mean-RSSI array), rows in node-id order.  Valid only while
+        #: the grid object, its version stamp, and the model's (frozen)
+        #: path-loss params are all unchanged, so any add/remove/move —
+        #: including the sender's own — or model swap forces a rebuild.
         self._sender_cache: Dict[Tuple[Medium, NodeId], tuple] = {}
         self.transmissions = 0
         self.deliveries = 0
@@ -265,9 +265,10 @@ class Simulator:
 
         One link-budget pass covers every candidate: per-pair digests,
         shadowing and loss are computed with numpy, the distance mask
-        comes first, and the alive/equipped checks are deferred to the
+        comes first, and the alive/interface checks are deferred to the
         survivors (legitimate because draws are pure per-pair
-        functions).  Survivors are sorted by node id and scheduled as a
+        functions).  Candidate rows are kept in node-id order, so the
+        survivors come out in dispatch order; they are scheduled as a
         single :class:`_DeliveryBatch` heap entry that dispatches them
         in that order at arrival time.
 
@@ -317,21 +318,26 @@ class Simulator:
             dy = ys - sender_y
             distances = np.sqrt(dx * dx + dy * dy)
             in_range = distances <= model.cull_range_m()
-            nodes = []
-            tails = []
-            if in_range.any():
+            rows = in_range.nonzero()[0].tolist()
+            if rows:
                 # Hash and budget every in-range candidate (including
-                # the sender and any dead/unequipped node): draws are
-                # pure per-pair functions, so the extra rows cannot
+                # the sender and any dead or interface-down node): draws
+                # are pure per-pair functions, so the extra rows cannot
                 # perturb anyone else's, and deferring the attribute
                 # checks to the few survivors is cheaper than
-                # interrogating every candidate up front.
-                for index in np.flatnonzero(in_range).tolist():
-                    payload = payloads[index]
-                    nodes.append(payload[0])
-                    tails.append(payload[1])
-                mean = model.params.mean_rssi_block(distances[in_range])
+                # interrogating every candidate up front.  Rows go in
+                # node-id order, so survivors come out in dispatch
+                # order; the mean is computed in grid order first, so
+                # no element's bits depend on the permutation.
+                ids = [keys[index].value for index in rows]
+                order = sorted(range(len(rows)), key=ids.__getitem__)
+                picked = [payloads[rows[row]] for row in order]
+                nodes = [payload[0] for payload in picked]
+                tails = [payload[1] for payload in picked]
+                mean = model.params.mean_rssi_block(distances[in_range])[order]
             else:
+                nodes = []
+                tails = []
                 mean = None
             if sender_is_member:
                 self._sender_cache[(medium, sender_id)] = (
@@ -351,28 +357,30 @@ class Simulator:
         keep = rssis >= model.params.sensitivity_dbm
         if loss > 0.0:
             keep &= ~model.pair_frame_lost_block(block)
-        survivors = np.flatnonzero(keep)
+        survivors = keep.nonzero()[0]
         if survivors.size == 0:
             return 0
-        chosen = []
-        for row in survivors.tolist():
+        receivers = []
+        heard = []
+        # Every row came from this medium's grid, so the receiver is
+        # equipped with it: only a downed interface can exclude it.
+        for row, rssi in zip(survivors.tolist(), rssis[survivors].tolist()):
             receiver = nodes[row]
-            if receiver is sender:
-                continue
-            if receiver.alive and medium in receiver.mediums:
-                # NodeId orders by its value string; sorting by the bare
-                # .value gives the same order without a Python-level
-                # NodeId.__lt__ call per comparison.
-                chosen.append((receiver.node_id.value, receiver, float(rssis[row])))
-        if not chosen:
+            if (
+                receiver is not sender
+                and receiver.alive
+                and medium not in receiver._disabled_mediums
+            ):
+                receivers.append(receiver)
+                heard.append(rssi)
+        if not receivers:
             return 0
-        chosen.sort()
         pool = self._delivery_pool
         batch = pool.pop() if pool else _DeliveryBatch()
         batch.bind(
             self,
-            [entry[1] for entry in chosen],
-            [entry[2] for entry in chosen],
+            receivers,
+            heard,
             packet,
             medium,
             arrival,
@@ -381,7 +389,7 @@ class Simulator:
             delivery_counter,
         )
         self.schedule_at(arrival, batch)
-        return len(chosen)
+        return len(receivers)
 
 
 class _PeriodicTask:
@@ -479,7 +487,7 @@ class _DeliveryBatch:
             if (
                 not receiver.attached
                 or not receiver.alive
-                or medium not in receiver.mediums
+                or medium in receiver._disabled_mediums
             ):
                 continue
             sim.deliveries += 1

@@ -197,21 +197,21 @@ class RadioMedium:
         ``mean`` is :meth:`PathLossParams.mean_rssi_block` over the
         candidates' distances; the engine caches it per (sender,
         topology version) since it only changes when something moves.
-        Shadowing is Box-Muller over draw words 0 and 1, clamped to
-        ±``SHADOWING_CULL_SIGMAS``.  With ``sigma <= 0`` no draw words
-        are consumed and the returned array *is* ``mean``, so treat it
-        as read-only.
+        Shadowing is Box-Muller over draw columns 0 and 1 of
+        :attr:`HashedBlock.units`, clamped to ±``SHADOWING_CULL_SIGMAS``.
+        With ``sigma <= 0`` no draw words are consumed and the returned
+        array *is* ``mean``, so treat it as read-only.
         """
         sigma = self.params.shadowing_sigma_db
         if sigma <= 0:
             return mean
-        u1 = block.uniforms(0)
-        u2 = block.uniforms(1)
-        radius = np.sqrt(-2.0 * np.log(1.0 - u1))
-        shadowing = radius * np.cos(2.0 * math.pi * u2)
-        np.clip(
-            shadowing, -SHADOWING_CULL_SIGMAS, SHADOWING_CULL_SIGMAS, out=shadowing
-        )
+        units = block.units
+        radius = np.sqrt(-2.0 * np.log(1.0 - units[:, 0]))
+        shadowing = radius * np.cos(2.0 * math.pi * units[:, 1])
+        # Two ufuncs clamp like np.clip, whose dispatch costs more than
+        # the clamp: 1 - u lies in (0, 1], so shadowing is never NaN.
+        np.maximum(shadowing, -SHADOWING_CULL_SIGMAS, out=shadowing)
+        np.minimum(shadowing, SHADOWING_CULL_SIGMAS, out=shadowing)
         return mean + shadowing * sigma
 
     def pair_frame_lost_block(self, block: HashedBlock) -> np.ndarray:

@@ -171,8 +171,8 @@ class SpatialGrid:
 
         Keys are sorted when orderable so the packed layout is canonical
         across processes (set iteration order is salted for str-hashed
-        keys); frame delivery re-sorts survivors anyway, so this only
-        aids reproducibility of debugging output.
+        keys); frame delivery orders each sender's candidates by id
+        itself, so this only aids reproducibility of debugging output.
         """
         packed = self._packed.get(cell)
         if packed is None:

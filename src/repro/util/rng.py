@@ -185,33 +185,40 @@ class HashedBlock:
     Produced by :meth:`HashedStream.sample_block`: row ``i`` holds the
     same 32 digest bytes :meth:`HashedStream.sample` would return for
     key ``common_key + (tails[i],)``, so per-key draws and frame
-    delivery's block draws consume identical bits.  :attr:`words`
-    exposes the digests as an ``(n, DRAWS_PER_DIGEST)`` uint64 array
-    (big-endian chunks, like ``HashedDraws``); :meth:`uniforms` converts
-    one draw column with the exact arithmetic of
-    :meth:`HashedDraws.uniform`.
+    delivery's block draws consume identical bits.  :attr:`units`
+    converts every digest to its unit draws once, with the exact
+    arithmetic of :meth:`HashedDraws.uniform`; :meth:`uniforms` reads
+    one draw column of it.
     """
 
-    __slots__ = ("digests", "count", "_words")
+    __slots__ = ("digests", "count", "_units")
 
     def __init__(self, digests: bytes, count: int) -> None:
         self.digests = digests
         self.count = count
-        self._words: Optional[np.ndarray] = None
+        self._units: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.count
 
     @property
-    def words(self) -> np.ndarray:
-        """The raw 8-byte draw words, shape ``(count, DRAWS_PER_DIGEST)``."""
-        if self._words is None:
-            # Kept big-endian: ufuncs byteswap on the fly, and the
-            # shifted/scaled results are bit-identical to a native copy.
-            self._words = np.frombuffer(self.digests, dtype=">u8").reshape(
-                self.count, DRAWS_PER_DIGEST
-            )
-        return self._words
+    def units(self) -> np.ndarray:
+        """Every unit draw in ``[0, 1)``, shape ``(count, DRAWS_PER_DIGEST)``.
+
+        Built on first use and read-only: column ``j`` is the ``j``-th
+        :meth:`HashedDraws.uniform` of every row, bit for bit.
+        """
+        units = self._units
+        if units is None:
+            # Big-endian chunks, like HashedDraws; astype converts to
+            # native order on any host before the shift.
+            words = np.frombuffer(self.digests, dtype=">u8").astype(np.uint64)
+            words >>= np.uint64(11)
+            # 53-bit mantissa -> uniform in [0, 1), exact in float64.
+            units = (words * (2.0**-53)).reshape(self.count, DRAWS_PER_DIGEST)
+            units.setflags(write=False)
+            self._units = units
+        return units
 
     def uniforms(
         self, draw_index: int, low: float = 0.0, high: float = 1.0
@@ -219,13 +226,14 @@ class HashedBlock:
         """One uniform draw column in ``[low, high)`` across all rows.
 
         Bit-identical to calling :meth:`HashedDraws.uniform` as the
-        ``draw_index``-th draw of each row's budget.
+        ``draw_index``-th draw of each row's budget.  The default bounds
+        return a read-only view of :attr:`units`.
         """
         if draw_index < 0 or draw_index >= DRAWS_PER_DIGEST:
             raise ValueError(
                 f"draw_index must be in [0, {DRAWS_PER_DIGEST}), got {draw_index}"
             )
-        unit = (self.words[:, draw_index] >> np.uint64(11)) * (2.0**-53)
+        unit = self.units[:, draw_index]
         if low == 0.0 and high == 1.0:
             # 0.0 + 1.0 * unit == unit bit-for-bit; skip two ufunc passes.
             return unit

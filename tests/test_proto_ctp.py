@@ -1,5 +1,7 @@
 """Tests for the CTP protocol behaviour."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.devices.wsn import build_wsn
 from repro.proto.ctp import NO_ROUTE_ETX, CtpNode
@@ -87,3 +89,62 @@ class TestDataCollection:
         sim.run(40.0)
         # The middle mote forwards the far mote's traffic.
         assert motes[0].forwarded_count > 0
+
+
+def _sorted_scan(table):
+    """The reference route choice: scan the neighbour table in id order,
+    keeping the first strictly lowest ``etx + 1`` below NO_ROUTE_ETX."""
+    best_parent, best_etx = None, NO_ROUTE_ETX
+    for neighbor, neighbor_etx in sorted(table.items()):
+        if neighbor_etx + 1 < best_etx:
+            best_parent, best_etx = neighbor, neighbor_etx + 1
+    return best_parent, best_etx
+
+
+#: Ids whose string order differs from their numeric order, so a table
+#: filled in numeric order is not in id order (``n10`` < ``n2``).
+_ROUTE_IDS = [f"n{index}" for index in range(12)] + ["a", "m9", "z0"]
+
+_ROUTE_ETX = st.one_of(
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([NO_ROUTE_ETX, 0xFFFE, NO_ROUTE_ETX - 2]),
+)
+
+
+class TestRouteChoice:
+    """One pass over the neighbour table picks the sorted scan's parent."""
+
+    def _choose(self, entries):
+        mote = CtpNode(NodeId("self"))
+        prior = (NodeId("prior"), 7)
+        mote.parent, mote.etx = prior
+        mote.neighbor_etx = {NodeId(value): etx for value, etx in entries}
+        expected = _sorted_scan(mote.neighbor_etx)
+        mote._update_route()
+        if expected[0] is None:
+            expected = prior  # no usable route: the old one stands
+        assert (mote.parent, mote.etx) == expected
+        return mote
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.sampled_from(_ROUTE_IDS), _ROUTE_ETX),
+            unique_by=lambda entry: entry[0],
+            max_size=len(_ROUTE_IDS),
+        )
+    )
+    @example(entries=[("n2", 2), ("n10", 2), ("n1", 3)])
+    @example(entries=[("n3", 0xFFFE), ("n10", NO_ROUTE_ETX)])
+    @example(entries=[("z0", 1), ("n2", 0xFFFE), ("a", 1), ("n10", 1)])
+    @example(entries=[])
+    def test_one_pass_matches_sorted_scan(self, entries):
+        self._choose(entries)
+
+    def test_tie_goes_to_smallest_id_not_first_inserted(self):
+        mote = self._choose([("n2", 1), ("n10", 1)])
+        assert mote.parent == NodeId("n10") and mote.etx == 2
+
+    def test_no_route_entries_never_become_parent(self):
+        mote = self._choose([("n1", 0xFFFE), ("n2", NO_ROUTE_ETX)])
+        assert mote.parent == NodeId("prior")

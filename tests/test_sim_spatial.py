@@ -14,7 +14,12 @@ import pytest
 from repro.net.packets.base import Medium
 from repro.net.packets.ieee802154 import Ieee802154Frame
 from repro.sim.engine import Simulator
-from repro.sim.medium import DEFAULT_PARAMS, SHADOWING_CULL_SIGMAS, RadioMedium
+from repro.sim.medium import (
+    DEFAULT_PARAMS,
+    SHADOWING_CULL_SIGMAS,
+    RadioMedium,
+    receiver_tail,
+)
 from repro.sim.spatial import SpatialGrid
 from repro.sim.topology import random_positions
 from repro.util.ids import NodeId
@@ -228,3 +233,75 @@ class TestFastPathEquivalence:
 
     def test_wired_medium_unbounded(self):
         assert Simulator().medium(Medium.WIRED).cull_range_m() == math.inf
+
+
+class TestSenderSnapshot:
+    """Each (medium, sender) candidate snapshot keeps its rows in node-id
+    order, with tails and mean RSSI aligned, through every change that
+    rebuilds it: survivors then come out in dispatch order unsorted."""
+
+    MEDIUM = Medium.IEEE_802_15_4
+
+    def _rows(self, sim, sender, log):
+        """Send one frame (rebuilding the snapshot if stale) and check
+        its rows against the reference and the sender's neighbours."""
+        log_before = len(log)
+        frame = Ieee802154Frame(pan_id=1, seq=0, src=sender.node_id, dst=None)
+        expected = send_expecting(sim, sender, self.MEDIUM, frame)
+        sim.run(0.05)
+        assert log[log_before:] == expected and expected
+        entry = sim._sender_cache[(self.MEDIUM, sender.node_id)]
+        nodes, tails, mean = entry[4], entry[5], entry[6]
+        ids = [str(node.node_id) for node in nodes]
+        assert ids == sorted(ids)
+        assert tails == [receiver_tail(node.node_id) for node in nodes]
+        model = sim.medium(self.MEDIUM)
+        in_range = []
+        for node in sim.nodes():
+            dx = node.position[0] - sender.position[0]
+            dy = node.position[1] - sender.position[1]
+            distance = math.sqrt(dx * dx + dy * dy)
+            if distance <= model.cull_range_m():
+                in_range.append(str(node.node_id))
+                row = ids.index(str(node.node_id))
+                assert mean[row] == model.params.mean_rssi(distance)
+        assert ids == in_range
+        return ids
+
+    def test_rows_in_id_order_across_insert_moves_and_remove(self):
+        cull = Simulator().medium(self.MEDIUM).cull_range_m()
+        sim = Simulator(seed=4)
+        log = []
+        # Inserted out of id order and straddling four grid cells, so
+        # neither insertion nor the neighbourhood's cell order is id
+        # order ("n10" < "n2" < "n9").
+        placed = [
+            ("n9", (cull - 3.0, cull - 4.0)),
+            ("n10", (cull + 2.0, cull - 1.0)),
+            ("n2", (cull - 1.0, cull + 5.0)),
+            ("n11", (cull + 4.0, cull + 3.0)),
+            ("n1", (cull - 6.0, cull + 1.0)),
+            ("far", (5.0 * cull, 5.0 * cull)),
+        ]
+        nodes = {
+            name: sim.add_node(
+                RecordingNode(NodeId(name), position, (self.MEDIUM,), log)
+            )
+            for name, position in placed
+        }
+        sim.run_until(0.001)
+        sender = nodes["n9"]
+        assert self._rows(sim, sender, log) == ["n1", "n10", "n11", "n2", "n9"]
+        sim.add_node(
+            RecordingNode(NodeId("n0"), (cull + 1.0, cull + 1.0), (self.MEDIUM,), log)
+        )
+        sim.run(0.001)
+        assert self._rows(sim, sender, log) == ["n0", "n1", "n10", "n11", "n2", "n9"]
+        sender.move_to((cull + 6.0, cull - 2.0))  # the sender changes cell
+        assert self._rows(sim, sender, log) == ["n0", "n1", "n10", "n11", "n2", "n9"]
+        nodes["far"].move_to((cull + 2.0, cull + 6.0))  # a receiver comes in
+        assert self._rows(sim, sender, log) == [
+            "far", "n0", "n1", "n10", "n11", "n2", "n9"
+        ]
+        sim.remove_node(NodeId("n10"))
+        assert self._rows(sim, sender, log) == ["far", "n0", "n1", "n11", "n2", "n9"]

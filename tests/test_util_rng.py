@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.util.rng import (
     DIGEST_BYTES,
     DRAWS_PER_DIGEST,
+    HashedBlock,
     HashedDraws,
     HashedStream,
     SeededRng,
@@ -201,14 +202,33 @@ class TestHashedBlock:
                 assert row.uniform() == scalar.uniform()
 
     def test_uniform_columns_match_scalar_draw_order(self):
-        """uniforms(j) is the j-th scalar draw of every row, bit for bit."""
+        """uniforms(j) is the j-th scalar draw of every row, bit for bit,
+        including the all-zero and all-0xFF digests at the edges."""
         stream = HashedStream(11, "pairs")
-        block = stream.sample_block(("s", 1), [str(index) for index in range(32)])
+        hashed = stream.sample_block(("s", 1), [str(index) for index in range(32)])
+        edges = bytes(DIGEST_BYTES) + b"\xff" * DIGEST_BYTES
+        block = HashedBlock(edges + hashed.digests, len(hashed) + 2)
         columns = [block.uniforms(j) for j in range(DRAWS_PER_DIGEST)]
-        for index in range(32):
+        for index in range(len(block)):
             scalar = block_row(block, index)
             for j in range(DRAWS_PER_DIGEST):
                 assert columns[j][index] == scalar.uniform()
+        assert all(column[0] == 0.0 for column in columns)
+        assert all(column[1] == 1.0 - 2.0**-53 for column in columns)
+
+    def test_draw_matrix_is_cached_and_read_only(self):
+        block = HashedStream(11, "ro").sample_block(("k",), list(range(8)))
+        units = block.units
+        assert units.shape == (8, DRAWS_PER_DIGEST)
+        assert block.units is units
+        assert not units.flags.writeable
+        with pytest.raises(ValueError):
+            units[0, 0] = 0.5
+        default = block.uniforms(2).copy()
+        scaled = block.uniforms(2, -3.0, 5.0)
+        assert ((scaled >= -3.0) & (scaled < 5.0)).all()
+        assert (block.uniforms(2) == default).all()
+        assert (units[:, 2] == default).all()
 
     def test_uniforms_range_and_bounds(self):
         stream = HashedStream(11, "u")
