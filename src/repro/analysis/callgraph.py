@@ -58,8 +58,10 @@ BUS_CLASSES = frozenset({"EventBus"})
 #: ``kind`` is what the first (label/topic) argument means.
 KB_WRITE_METHODS = frozenset({"put", "put_static"})
 KB_READ_METHODS = frozenset(
-    {"get", "get_knowgget", "with_label", "subscribe", "sublabels"}
+    {"get", "get_knowgget", "with_label", "subscribe", "subscribe_labels", "sublabels"}
 )
+#: kb primitives whose label argument is not spelled ``label``.
+_KB_LABEL_PARAMS = {"sublabels": "root_label", "subscribe_labels": "labels"}
 BUS_PUBLISH_METHODS = frozenset({"publish"})
 BUS_SUBSCRIBE_METHODS = frozenset({"subscribe", "subscribe_prefix"})
 
@@ -358,7 +360,7 @@ class CallGraph:
         if primitive is not None:
             role, kind = primitive
             method = site.chain[-1]
-            argument = call_arg(site.node, 0, _first_arg_name(role, method))
+            argument = call_arg(site.node, 0, first_arg_name(role, method))
             return self._param_spec(caller, argument, role, kind, method)
         if site.target is not None and site.target.key in self.wrappers:
             inner = self.wrappers[site.target.key]
@@ -395,10 +397,10 @@ class CallGraph:
         return self.wrappers.get(site.target.key)
 
 
-def _first_arg_name(role: str, method: str) -> str:
+def first_arg_name(role: str, method: str) -> str:
     """Keyword name of the label/topic argument of a primitive."""
     if role == "kb":
-        return "label" if method != "sublabels" else "root_label"
+        return _KB_LABEL_PARAMS.get(method, "label")
     return "topic" if method == "publish" else "prefix"
 
 

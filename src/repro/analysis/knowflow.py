@@ -6,8 +6,8 @@ the two dataflow surfaces Kalis's correctness rests on (paper §IV):
 - the **knowledge flow**: every knowgget *writer* (``kb.put`` /
   ``kb.put_static``, directly or through a label-forwarding wrapper) and
   every *reader* (``kb.get`` / ``get_knowgget`` / ``with_label`` /
-  ``subscribe`` / ``sublabels`` plus ``Requirement(label=…)``
-  declarations);
+  ``subscribe`` / ``subscribe_labels`` / ``sublabels`` plus
+  ``Requirement(label=…)`` declarations);
 - the **topic graph**: every ``bus.publish`` site (directly or through a
   topic-forwarding wrapper such as ``ModuleSupervisor._publish``) and
   every ``bus.subscribe`` / ``subscribe_prefix`` site.
@@ -37,7 +37,13 @@ from repro.analysis.astutil import (
     patterns_overlap,
     string_pattern,
 )
-from repro.analysis.callgraph import CallGraph, CallSite, FunctionInfo, scanned
+from repro.analysis.callgraph import (
+    CallGraph,
+    CallSite,
+    FunctionInfo,
+    first_arg_name,
+    scanned,
+)
 from repro.analysis.project import Project
 
 #: Enclosing function key -> its single-assignment string locals.
@@ -100,9 +106,6 @@ class KnowFlow:
                 if pattern_covers(pattern, label):
                     return True
         return False
-
-    def has_dynamic_publish(self) -> bool:
-        return any(site.pattern[0] == "dynamic" for site in self.publishes)
 
     def referenced_elsewhere(self, label: str, own_paths: Set[str]) -> bool:
         """Does the label occur as a string constant outside ``own_paths``?"""
@@ -184,12 +187,10 @@ def _classify_site(
     primitive = graph.primitive_kind(site)
     if primitive is not None:
         role, kind = primitive
+        argument = call_arg(site.node, 0, first_arg_name(role, method))
+        if argument is None:
+            return
         if role == "kb":
-            argument = call_arg(
-                site.node, 0, "root_label" if method == "sublabels" else "label"
-            )
-            if argument is None:
-                return
             if kind == "write":
                 flow.writes.append(
                     _site(
@@ -209,11 +210,6 @@ def _classify_site(
                         )
                     )
         else:
-            argument = call_arg(
-                site.node, 0, "topic" if method == "publish" else "prefix"
-            )
-            if argument is None:
-                return
             pattern = _pattern_at(project, memo, site, argument)
             if method == "subscribe_prefix" and pattern[0] == "exact":
                 # A prefix subscription matches a topic family by design.

@@ -24,6 +24,10 @@ resolved before liveness is judged.
   can never fire).  Wrapper-derived publish sites count, so
   ``self._publish(TOPIC_MODULE_RESTORE, …)`` is not a blind spot, and
   ``KnowledgeBase.subscribe`` (which takes a label) is not a topic.
+  A site whose topic is computed at runtime pairs with nothing, so it
+  is reported on its own (WARNING), once per side and function, and the
+  sites that do resolve are still checked against each other: one
+  dynamic publish never switches off the subscription check.
 - **KL104** — module contract drift: a detection module whose code
   strictly reads (``get``/``get_knowgget`` without ``default=``) a
   knowgget its ``REQUIREMENTS`` never declare and the module itself
@@ -148,18 +152,13 @@ class OrphanTopicRule(Rule):
 
     def check(self, project: Project) -> Iterable[Finding]:
         flow = derive_knowflow(project)
-        has_dynamic_publish = flow.has_dynamic_publish()
-        has_dynamic_subscribe = any(
-            site.pattern[0] == "dynamic" for site in flow.subscribes
-        )
         reported: Set[str] = set()
         for site in flow.publishes:
             kind, value = site.pattern
             if kind == "dynamic" or value is None:
+                yield from self._dynamic(site, "publish", reported)
                 continue
             if _allowlisted(value):
-                continue
-            if has_dynamic_subscribe:
                 continue
             if any(
                 patterns_overlap(site.pattern, other.pattern)
@@ -184,10 +183,9 @@ class OrphanTopicRule(Rule):
         for site in flow.subscribes:
             kind, value = site.pattern
             if kind == "dynamic" or value is None:
+                yield from self._dynamic(site, "subscribe", reported)
                 continue
             if _allowlisted(value):
-                continue
-            if has_dynamic_publish:
                 continue
             if any(
                 patterns_overlap(site.pattern, other.pattern)
@@ -208,6 +206,25 @@ class OrphanTopicRule(Rule):
                 " can never fire",
                 key=rendered,
             )
+
+    def _dynamic(
+        self, site: FlowSite, side: str, reported: Set[str]
+    ) -> Iterable[Finding]:
+        """One finding per side and function for runtime-computed topics."""
+        key = f"{side}:<dynamic>@{site.function or '<module>'}"
+        if key in reported:
+            return
+        reported.add(key)
+        origin = f" (via {site.derived_from})" if site.derived_from else ""
+        yield self.finding(
+            Severity.WARNING,
+            site.path,
+            site.line,
+            f"the topic of this {side}{origin} is computed at runtime, so it"
+            " cannot be paired with any site — spell it as a constant or a"
+            " constant prefix",
+            key=key,
+        )
 
 
 def _allowlisted(value: str) -> bool:

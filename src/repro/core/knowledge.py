@@ -26,7 +26,19 @@ originally created.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.eventbus.bus import EventBus
 from repro.util.ids import NodeId
@@ -115,6 +127,26 @@ class Knowgget(NamedTuple):
         return self.label.split(".", 1)[0]
 
 
+#: Builds a :class:`Knowgget` in C, skipping the Python-level ``__new__``
+#: NamedTuple generates; the tuple must hold every field, defaults too.
+_new_tuple = tuple.__new__
+
+
+@dataclass(frozen=True)
+class LabelFilter:
+    """Knowledge topics whose knowgget has one of ``labels``.
+
+    A bus ``where`` predicate: any creator, any entity.  A topic that is
+    not a well-formed knowledge key matches nothing.
+    """
+
+    labels: FrozenSet[str]
+
+    def __call__(self, topic: str) -> bool:
+        remainder = topic[len(KNOWLEDGE_TOPIC_PREFIX):].partition("$")[2]
+        return remainder.partition("@")[0] in self.labels
+
+
 class KnowledgeBase:
     """The centralized store of knowggets for one Kalis node.
 
@@ -149,17 +181,21 @@ class KnowledgeBase:
         no-op (no event), which keeps periodic sensing modules from
         flooding the bus.  Each (label, entity) pair is encoded and
         validated on its first write only; an invalid label is never
-        memoised, so it raises on every attempt.
+        memoised, so it raises on every attempt.  A value that is
+        exactly a ``str`` is already its stored form (a subclass may
+        render differently, so it is encoded like any other value).
         """
         pair = (label, entity)
         key = self._key_memo.get(pair)
         if key is None:
             key = self._key_memo[pair] = encode_key(self.owner, label, entity)
-        encoded = encode_value(value)
+        encoded = value if type(value) is str else encode_value(value)
         existing = self._store.get(key)
         if existing is not None and existing.value == encoded:
             return existing  # unchanged; no event
-        knowgget = Knowgget(label, encoded, self.owner, entity, collective)
+        knowgget = _new_tuple(
+            Knowgget, (label, encoded, self.owner, entity, collective)
+        )
         return self._commit(key, knowgget, from_remote=False)
 
     def put_static(self, label: str, value: PrimitiveValue,
@@ -306,6 +342,17 @@ class KnowledgeBase:
     def subscribe_all(self, handler):
         """Subscribe to every knowledge change."""
         return self.bus.subscribe_prefix(KNOWLEDGE_TOPIC_PREFIX, handler)
+
+    def subscribe_labels(self, labels: Iterable[str], handler):
+        """Subscribe to changes of knowggets with any of ``labels``, from
+        any creator and about any entity, remote updates included.
+
+        The bus resolves the label test once per topic, so a change of
+        any other knowgget costs this subscription nothing.
+        """
+        return self.bus.subscribe_prefix(
+            KNOWLEDGE_TOPIC_PREFIX, handler, where=LabelFilter(frozenset(labels))
+        )
 
     def add_collective_listener(self, listener: Callable[[Knowgget], None]) -> None:
         self._collective_listeners.append(listener)

@@ -36,6 +36,9 @@ from repro.util.ids import NodeId
 
 FlowKey = Tuple[NodeId, int]
 
+#: The knowgget labels the correlation step reads.
+ANOMALY_LABELS = ("ForwardingAnomaly", "TrafficSourceAnomaly")
+
 
 @register_module
 class WormholeModule(DetectionModule):
@@ -69,7 +72,9 @@ class WormholeModule(DetectionModule):
         # Watch the Knowledge Base for anomaly knowggets from any
         # creator — this is where peer knowledge enters the correlation.
         # A dormant module does not correlate, so it does not listen.
-        self._kb_subscription = self.ctx.kb.subscribe_all(self._on_knowledge_event)
+        self._kb_subscription = self.ctx.kb.subscribe_labels(
+            ANOMALY_LABELS, self._on_knowledge_event
+        )
 
     def on_deactivate(self) -> None:
         if self._kb_subscription is not None:
@@ -77,11 +82,7 @@ class WormholeModule(DetectionModule):
             self._kb_subscription = None
 
     def _on_knowledge_event(self, event) -> None:
-        knowgget = event.payload
-        if isinstance(knowgget, Knowgget) and knowgget.label in (
-            "ForwardingAnomaly",
-            "TrafficSourceAnomaly",
-        ):
+        if isinstance(event.payload, Knowgget):  # a removal carries None
             self._correlate(timestamp=None)
 
     # -- local traffic-source anomaly detection ------------------------------------

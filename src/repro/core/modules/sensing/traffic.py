@@ -22,6 +22,9 @@ targeted DoS-like attacks": a flood victim shows up as an extreme
 
 from __future__ import annotations
 
+import functools
+
+from repro.core.knowledge import encode_value
 from repro.core.modules.base import SensingModule
 from repro.core.modules.common import (
     SlidingWindowCounter,
@@ -33,6 +36,18 @@ from repro.sim.capture import Capture
 
 #: The paper's default statistics window.
 DEFAULT_WINDOW_S = 5.0
+
+
+@functools.lru_cache(maxsize=4096)
+def rate_text(count: int, window: float, precision: int) -> str:
+    """The stored form of a rate: ``count`` packets over ``window`` seconds.
+
+    A pure function of its arguments, so each (count, window, precision)
+    is rounded and rendered once per process.  The cache is module-level
+    on purpose: the RAM proxy sizes each module's instance state, which
+    a per-module cache would inflate.
+    """
+    return encode_value(round(count / window, precision))
 
 
 @register_module
@@ -64,19 +79,19 @@ class TrafficStatsModule(SensingModule):
         window = self.window
         precision = self.precision
         count = self._global.record(now, kind)
-        kb.put(f"TrafficFrequency.{kind}", round(count / window, precision))
+        kb.put(f"TrafficFrequency.{kind}", rate_text(count, window, precision))
 
         sender = link_source(capture.packet)
         if sender is not None:
             count = self._by_sender.record(now, (kind, sender))
             kb.put(
-                f"TrafficOut.{kind}", round(count / window, precision), entity=sender
+                f"TrafficOut.{kind}", rate_text(count, window, precision), entity=sender
             )
         receiver = link_destination(capture.packet)
         if receiver is not None:
             count = self._by_receiver.record(now, (kind, receiver))
             kb.put(
-                f"TrafficIn.{kind}", round(count / window, precision), entity=receiver
+                f"TrafficIn.{kind}", rate_text(count, window, precision), entity=receiver
             )
 
     # -- programmatic access for detection modules --------------------------------

@@ -8,12 +8,15 @@ reproducible.
 
 Topics are plain strings.  A subscription may target an exact topic or a
 topic prefix (``"packet."`` matches ``"packet.wifi"``), mirroring how
-Kalis modules subscribe to families of knowgget keys.  A topic's
-targets (its exact subscribers, then the matching prefix subscribers,
-each in subscription order) are resolved on its first publish and kept
-until a subscription change drops them: subscribing to a topic or
-removing one of its subscribers drops that topic's entry, and any
-prefix subscription change drops them all.
+Kalis modules subscribe to families of knowgget keys.  A prefix
+subscription may also carry a ``where`` predicate on the full topic, so
+it hears only part of its family.  A topic's targets (its exact
+subscribers, then the matching prefix subscribers, each in
+subscription order) are resolved on its first publish, predicates
+included, and kept until a subscription change drops them: subscribing
+to a topic or removing one of its subscribers drops that topic's entry,
+and any prefix subscription change drops them all.  A predicate must
+therefore be a pure function of the topic.
 
 Dispatch is exception-safe: a raising handler never prevents later
 subscribers from seeing the event ("security-in-a-box" must keep
@@ -74,6 +77,15 @@ class Subscription:
     prefix: bool
     handler: Handler
     active: bool = True
+    #: Prefix subscriptions only: a pure predicate a topic in the family
+    #: must also pass.  It must pickle, since snapshots carry the bus.
+    where: Optional[Callable[[str], bool]] = None
+
+    def matches(self, topic: str) -> bool:
+        """Does a publish on ``topic`` reach this prefix subscription?"""
+        return topic.startswith(self.topic) and (
+            self.where is None or self.where(topic)
+        )
 
 
 @dataclass
@@ -117,11 +129,23 @@ class EventBus:
         self._targets_cache.pop(topic, None)
         return subscription
 
-    def subscribe_prefix(self, prefix: str, handler: Handler) -> Subscription:
-        """Subscribe ``handler`` to all topics starting with ``prefix``."""
+    def subscribe_prefix(
+        self,
+        prefix: str,
+        handler: Handler,
+        where: Optional[Callable[[str], bool]] = None,
+    ) -> Subscription:
+        """Subscribe ``handler`` to all topics starting with ``prefix``.
+
+        :param where: when given, only the topics for which it returns
+            True; it is called when a topic's targets are resolved, not
+            on every publish.
+        """
         if not prefix:
             raise ValueError("prefix must be non-empty")
-        subscription = Subscription(topic=prefix, prefix=True, handler=handler)
+        subscription = Subscription(
+            topic=prefix, prefix=True, handler=handler, where=where
+        )
         self._prefix.append(subscription)
         self._targets_cache.clear()
         return subscription
@@ -158,7 +182,7 @@ class EventBus:
         targets = tuple(exact) + tuple(
             subscription
             for subscription in self._prefix
-            if topic.startswith(subscription.topic)
+            if subscription.matches(topic)
         )
         self._targets_cache[topic] = targets
         return targets
@@ -266,9 +290,7 @@ class EventBus:
         """Number of active subscriptions, optionally for one exact topic."""
         if topic is not None:
             exact = sum(1 for s in self._exact.get(topic, ()) if s.active)
-            prefixed = sum(
-                1 for s in self._prefix if s.active and topic.startswith(s.topic)
-            )
+            prefixed = sum(1 for s in self._prefix if s.active and s.matches(topic))
             return exact + prefixed
         exact_total = sum(
             1 for bucket in self._exact.values() for s in bucket if s.active

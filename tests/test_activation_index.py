@@ -11,7 +11,8 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ckpt.snapshot import capture, restore
+from repro.ckpt.snapshot import Deployment, capture, restore
+from repro.core.alerts import ALERT_TOPIC
 from repro.core.datastore import DataStore
 from repro.core.kalis import (
     DEFAULT_DETECTION_MODULES,
@@ -29,7 +30,9 @@ from repro.core.modules.base import DetectionModule, Requirement
 from repro.core.modules.registry import create_module, module_class
 from repro.eventbus.bus import EventBus
 from repro.experiments import icmp_flood_scenario
+from repro.experiments.common import strike_horizon
 from repro.experiments.soak_scenario import build_e1_deployment
+from repro.sim.engine import Simulator
 from repro.taxonomy.by_feature import FEATURES
 from repro.taxonomy.modules_map import MODULES_FOR_ATTACK, feature_knowledge
 from repro.util.ids import NodeId
@@ -296,11 +299,7 @@ class TestKnowledgeSubscriptions:
         assert node.deadletters == []
 
     def test_wormhole_module_listens_only_while_active(self):
-        kb = KnowledgeBase(OWNER, EventBus())
-        manager = ModuleManager(
-            kb=kb, datastore=DataStore(), bus=kb.bus, node_id=OWNER,
-        )
-        module = manager.register(create_module("WormholeModule"))
+        kb, module = _wormhole_kb()
         remote_topic = KNOWLEDGE_TOPIC_PREFIX + "kalis-2$ForwardingAnomaly@B1"
         rate_topic = KNOWLEDGE_TOPIC_PREFIX + "kalis-1$TrafficFrequency.ICMP"
         assert not module.active
@@ -309,8 +308,125 @@ class TestKnowledgeSubscriptions:
             kb.put("Multihop.802154", True)
             assert module.active
             assert kb.bus.subscriber_count(remote_topic) == 1, round_
-            assert kb.bus.subscriber_count(rate_topic) == 1, round_
+            assert kb.bus.subscriber_count(rate_topic) == 0, round_
             kb.put("Multihop.802154", False)
             assert not module.active
             assert kb.bus.subscriber_count(remote_topic) == 0, round_
             assert kb.bus.subscriber_count(rate_topic) == 0, round_
+
+
+# -- the wormhole module hears the two anomaly labels only ---------------------------------
+
+
+def _wormhole_kb():
+    kb = KnowledgeBase(OWNER, EventBus())
+    manager = ModuleManager(kb=kb, datastore=DataStore(), bus=kb.bus, node_id=OWNER)
+    return kb, manager.register(create_module("WormholeModule"))
+
+
+def _spy_correlate(module, monkeypatch):
+    heard = []
+    monkeypatch.setattr(module, "_correlate", lambda timestamp: heard.append(timestamp))
+    return heard
+
+
+def _write(kb, creator, label, entity, value=True):
+    """A local put when ``creator`` owns the KB, else a peer's update."""
+    if creator is kb.owner:
+        kb.put(label, value, entity=entity, collective=True)
+    else:
+        knowgget = Knowgget(
+            label=label, value=encode_value(value), creator=creator,
+            entity=entity, collective=True,
+        )
+        assert kb.apply_remote(knowgget, sender=creator)
+
+
+class TestWormholeSubscription:
+    ANOMALIES = ("ForwardingAnomaly", "TrafficSourceAnomaly")
+
+    def test_correlates_on_every_anomaly_change_local_or_remote(self, monkeypatch):
+        kb, module = _wormhole_kb()
+        kb.put("Multihop.802154", True)
+        heard = _spy_correlate(module, monkeypatch)
+        writes = 0
+        for creator in (OWNER, PEER, NodeId("kalis-3")):
+            for label in self.ANOMALIES:
+                for entity in (None, ENTITY, NodeId("B2")):
+                    _write(kb, creator, label, entity)
+                    _write(kb, creator, label, entity)  # unchanged: no event
+                    _write(kb, creator, label, entity, value=False)
+                    writes += 2
+        assert heard == [None] * writes
+
+    def test_other_labels_reach_no_handler(self, monkeypatch):
+        kb, module = _wormhole_kb()
+        kb.put("Multihop.802154", True)
+        heard = _spy_correlate(module, monkeypatch)
+        before = kb.bus.delivered_count
+        for creator in (OWNER, PEER):
+            for label in ("TrafficFrequency.ICMP", "WormholeInvolving",
+                          "ForwardingAnomaly.x", "ForwardingAnomalyX", "Forwarding"):
+                _write(kb, creator, label, ENTITY)
+        assert heard == []
+        assert kb.bus.delivered_count == before
+
+    def test_removal_reaches_the_handler_but_does_not_correlate(self, monkeypatch):
+        kb, module = _wormhole_kb()
+        kb.put("Multihop.802154", True)
+        kb.put("ForwardingAnomaly", True, entity=ENTITY)
+        heard = _spy_correlate(module, monkeypatch)
+        before = kb.bus.delivered_count
+        assert kb.remove("ForwardingAnomaly", entity=ENTITY)
+        assert kb.bus.delivered_count == before + 1
+        assert heard == []
+
+    def test_anomalies_still_raise_the_wormhole_alert(self):
+        kb, module = _wormhole_kb()
+        kb.put("Multihop.802154", True)
+        alerts = []
+        kb.bus.subscribe(ALERT_TOPIC, lambda event: alerts.append(event.payload))
+        kb.put("ForwardingAnomaly", True, entity=NodeId("B1"), collective=True)
+        assert alerts == []
+        _write(kb, PEER, "TrafficSourceAnomaly", NodeId("B2"))
+        assert [alert.suspects for alert in alerts] == [(NodeId("B1"), NodeId("B2"))]
+
+    def test_all_on_e1_replay_delivers_no_other_knowledge_change(self):
+        trace = icmp_flood_scenario.build(seed=7, symptom_instances=4).trace
+        node = KalisNode(NodeId("trad-1"), knowledge_driven=False)
+        for record in trace:
+            node.feed(record.capture)
+        assert node.manager.module("WormholeModule").active
+        _assert_no_knowledge_delivered(node)
+
+    def test_all_on_restore_keeps_the_label_filter(self):
+        sim = Simulator(seed=7)
+        attacker = icmp_flood_scenario.build_world(sim, 7, 4)
+        node = KalisNode(NodeId("trad-1"), knowledge_driven=False)
+        node.deploy(sim, position=icmp_flood_scenario.OBSERVER_POSITION)
+        deployment = Deployment(
+            sim=sim, kalis_nodes=[node], end_time=strike_horizon(attacker),
+            extras={"attacker": attacker},
+        )
+        deployment.run_to(deployment.end_time / 2)
+        restored = restore(capture(deployment))
+        node = restored.kalis_nodes[0]
+        node.rebuild_derived_state()  # a second restore hook call changes nothing
+        restored.run_to(restored.end_time)
+        _assert_no_knowledge_delivered(node)
+        assert node.deadletters == []
+
+
+def _assert_no_knowledge_delivered(node):
+    """Only the wormhole listens to knowledge on an all-on node, and no
+    knowledge topic the run published carries one of its two labels."""
+    published = [
+        topic for topic in node.bus.topic_counts()
+        if topic.startswith(KNOWLEDGE_TOPIC_PREFIX)
+    ]
+    assert any("$TrafficFrequency." in topic for topic in published)
+    for topic in published:
+        assert node.bus.subscriber_count(topic) == 0, topic
+        assert node.bus._targets_cache.get(topic, ()) == (), topic
+    anomaly_topic = KNOWLEDGE_TOPIC_PREFIX + "kalis-2$TrafficSourceAnomaly@B2"
+    assert node.bus.subscriber_count(anomaly_topic) == 1

@@ -38,6 +38,22 @@ class TestSubscribe:
         bus.publish("other")
         assert received == ["topic.a", "topic.b"]
 
+    def test_prefix_where_filters_the_family_once_per_topic(self, bus):
+        received, asked = [], []
+
+        def where(topic):
+            asked.append(topic)
+            return topic.endswith(".b")
+
+        bus.subscribe_prefix("topic.", lambda e: received.append(e.topic), where=where)
+        for topic in ("topic.a", "topic.b", "topic.a", "topic.b", "other.b"):
+            bus.publish(topic)
+        assert received == ["topic.b", "topic.b"]
+        assert asked == ["topic.a", "topic.b"]
+        assert bus.subscriber_count("topic.b") == 1
+        assert bus.subscriber_count("topic.a") == 0
+        assert bus.subscriber_count() == 1
+
     def test_publish_returns_handler_count(self, bus):
         bus.subscribe("t", lambda e: None)
         bus.subscribe("t", lambda e: None)
@@ -273,8 +289,10 @@ class ReferenceBus:
     def subscribe(self, topic, handler):
         return self._add(Subscription(topic=topic, prefix=False, handler=handler))
 
-    def subscribe_prefix(self, prefix, handler):
-        return self._add(Subscription(topic=prefix, prefix=True, handler=handler))
+    def subscribe_prefix(self, prefix, handler, where=None):
+        return self._add(
+            Subscription(topic=prefix, prefix=True, handler=handler, where=where)
+        )
 
     def _add(self, subscription):
         self.subscriptions.append(subscription)
@@ -298,7 +316,10 @@ class ReferenceBus:
         event = Event(topic=topic, payload=payload)
         live = [s for s in self.subscriptions if s.active]
         targets = [s for s in live if not s.prefix and s.topic == topic]
-        targets += [s for s in live if s.prefix and topic.startswith(s.topic)]
+        targets += [
+            s for s in live
+            if s.prefix and topic.startswith(s.topic) and (s.where is None or s.where(topic))
+        ]
         delivered = 0
         letters = []
         for subscription in targets:
@@ -320,6 +341,16 @@ class ReferenceBus:
             for letter in letters:
                 self.publish(DEADLETTER_TOPIC, letter)
         return delivered
+
+
+class EndsWith:
+    """A picklable ``where`` predicate: topics ending in ``suffix``."""
+
+    def __init__(self, suffix):
+        self.suffix = suffix
+
+    def __call__(self, topic):
+        return topic.endswith(self.suffix)
 
 
 class ScriptHandler:
@@ -344,7 +375,7 @@ class ScriptHandler:
             payload = (payload.topic, payload.event.topic, payload.handler,
                        str(payload.error))
         runner.log.append(("handled", self.hid, event.topic, payload))
-        if kind in ("subscribe", "subscribe_prefix"):
+        if kind in ("subscribe", "subscribe_prefix", "subscribe_where"):
             runner.subscribe(kind, args[0], (("record",), False))
         elif kind == "unsubscribe":
             runner.unsubscribe(args[0])
@@ -367,7 +398,11 @@ class ScriptRunner:
 
     def subscribe(self, kind, topic, behaviour):
         handler = ScriptHandler(self, len(self.handles), behaviour)
-        self.handles.append(getattr(self.bus, kind)(topic, handler))
+        if kind == "subscribe_where":
+            subscription = self.bus.subscribe_prefix(topic, handler, where=EndsWith("c"))
+        else:
+            subscription = getattr(self.bus, kind)(topic, handler)
+        self.handles.append(subscription)
 
     def unsubscribe(self, index):
         if self.handles:
@@ -398,6 +433,7 @@ actions = st.one_of(
     st.just(("record",)),
     st.tuples(st.just("subscribe"), topics),
     st.tuples(st.just("subscribe_prefix"), prefixes),
+    st.tuples(st.just("subscribe_where"), prefixes),
     st.tuples(st.just("unsubscribe"), st.integers(0, 30)),
     st.tuples(st.just("publish"), topics),
 )
@@ -405,6 +441,7 @@ scripts = st.lists(
     st.one_of(
         st.tuples(st.just("subscribe"), topics, st.tuples(actions, st.booleans())),
         st.tuples(st.just("subscribe_prefix"), prefixes, st.tuples(actions, st.booleans())),
+        st.tuples(st.just("subscribe_where"), prefixes, st.tuples(actions, st.booleans())),
         st.tuples(st.just("unsubscribe"), st.integers(0, 30)),
         st.tuples(st.just("publish"), topics),
     ),

@@ -177,6 +177,25 @@ class TestKL101KnowggetLiveness:
         # Both tuple labels are read; neither is written.
         assert {f.key for f in findings} == {"Multihop", "Mobility"}
 
+    def test_subscribe_labels_reads_each_label(self, tmp_path):
+        findings = run(
+            tmp_path,
+            {
+                "repro/core/watch.py": """
+                LABELS = ("Written", "Unwritten")
+
+
+                class Watcher:
+                    def go(self):
+                        self.ctx.kb.put("Written", 1)
+                        self.ctx.kb.subscribe_labels(LABELS, print)
+                """,
+            },
+            "KL101",
+        )
+        assert [f.key for f in findings] == ["Unwritten"]
+        assert "subscribe_labels read" in findings[0].message
+
     TOLERANT = {
         "repro/core/modules/sensing/feeder.py": """
         class Feeder:
@@ -341,9 +360,9 @@ class TestKL103OrphanTopics:
         }
         assert run(tmp_path, files, "KL103") == []
 
-    def test_called_wrapper_with_runtime_topic_suppresses(self, tmp_path):
-        """A topic wrapper called with a runtime topic could publish
-        anything, so no subscription can be judged orphaned."""
+    def test_runtime_topic_wrapper_reports_both_sides(self, tmp_path):
+        """A topic wrapper called with a runtime topic is reported where it
+        is called, and it no longer hides the orphaned subscription."""
         files = {
             "repro/core/wiring.py": """
             def wire(bus, topic):
@@ -355,7 +374,38 @@ class TestKL103OrphanTopics:
                 wire(bus, config["topic"])
             """,
         }
-        assert run(tmp_path, files, "KL103") == []
+        findings = run(tmp_path, files, "KL103")
+        assert [(f.line, f.key, f.severity.value) for f in findings] == [
+            (4, "anything", "error"),
+            (8, "publish:<dynamic>@start", "warning"),
+        ]
+
+    def test_dynamic_sites_reported_once_per_side_and_function(self, tmp_path):
+        """Each runtime-computed topic is its own finding, a dynamic
+        subscription leaves the publish side checked, and resolved pairs
+        stay clean."""
+        files = {
+            "repro/core/teller.py": """
+            class Teller:
+                def go(self):
+                    self.bus.publish(self.topic, 1)
+                    self.bus.publish(self.topic + "!", 2)
+                    self.bus.publish("pair.topic", 3)
+                    self.bus.publish("lonely.topic", 4)
+            """,
+            "repro/core/listener.py": """
+            class Listener:
+                def go(self):
+                    self.bus.subscribe(self.topic, print)
+                    self.bus.subscribe("pair.topic", print)
+            """,
+        }
+        findings = run(tmp_path, files, "KL103")
+        assert sorted((f.path, f.key, f.severity.value) for f in findings) == [
+            ("src/repro/core/listener.py", "subscribe:<dynamic>@Listener.go", "warning"),
+            ("src/repro/core/teller.py", "lonely.topic", "warning"),
+            ("src/repro/core/teller.py", "publish:<dynamic>@Teller.go", "warning"),
+        ]
 
     def test_kb_subscribe_is_not_a_bus_topic(self, tmp_path):
         """``KnowledgeBase.subscribe`` takes a label, not a topic."""

@@ -298,11 +298,26 @@ class RecordingKb:
         self.kb.add_collective_listener(self.shared.append)
 
 
+class _Shouting(str):
+    """A str subclass that renders differently from its own text."""
+
+    def __str__(self):
+        return self.upper()
+
+
+class _Plain(str):
+    """A str subclass that renders as its own text."""
+
+
 put_labels = st.sampled_from(
     ["Multihop", "Multihop.wifi", "TrafficIn.ICMPReply", "", "bad$label", "bad@label"]
 )
 put_values = st.one_of(
-    st.booleans(), st.integers(-2, 2), st.sampled_from([0.5, 2.0]), st.sampled_from(["x", "y"])
+    st.booleans(),
+    st.integers(-2, 2),
+    st.sampled_from([0.5, 2.0, 0.1 + 0.2, 1e16, -0.0]),
+    st.sampled_from(["x", "y", "X", "0.5", "true", ""]),
+    st.sampled_from([_Shouting("x"), _Plain("x"), _Plain("y")]),
 )
 # SENSOR and an equal but distinct NodeId: the memo must key by value.
 put_entities = st.one_of(st.none(), st.sampled_from([SENSOR, T2, NodeId("SensorA")]))
@@ -324,9 +339,24 @@ def test_put_matches_reference_put(script):
                 outcomes.append(str(error))
         assert outcomes[0] == outcomes[1]
     assert list(actual.kb._store.items()) == list(expected.kb._store.items())
+    for knowgget in actual.kb._store.values():
+        assert type(knowgget) is Knowgget
+        assert type(knowgget.value) is str
     assert actual.kb.change_count == expected.kb.change_count
+    assert actual.kb.bus.topic_counts() == expected.kb.bus.topic_counts()
     assert actual.events == expected.events
     assert actual.shared == expected.shared
+
+
+def test_str_values_are_stored_as_given_and_subclasses_as_rendered():
+    kb = KnowledgeBase(T1)
+    assert kb.put("A", "2.5").value == "2.5"
+    assert kb.put("B", _Shouting("x")).value == "X"
+    plain = kb.put("C", _Plain("y")).value
+    assert plain == "y" and type(plain) is str
+    # The same text again is no change, so it publishes nothing.
+    assert kb.put("C", "y") is kb.get_knowgget("C")
+    assert kb.change_count == 3
 
 
 def test_invalid_label_raises_on_every_put():

@@ -2,14 +2,20 @@
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
+from repro.core.config import parse_config
 from repro.core.datastore import DataStore
-from repro.core.knowledge import KnowledgeBase
+from repro.core.kalis import KalisNode
+from repro.core.knowledge import KnowledgeBase, encode_value
 from repro.core.modules.base import ModuleContext
+from repro.core.modules.registry import create_module
+from repro.core.modules.sensing import traffic
 from repro.core.modules.sensing.mobility import MobilityAwarenessModule
 from repro.core.modules.sensing.topology import DEFAULT_HOP_LIMIT, TopologyDiscoveryModule
-from repro.core.modules.sensing.traffic import TrafficStatsModule
+from repro.core.modules.sensing.traffic import TrafficStatsModule, rate_text
 from repro.eventbus.bus import EventBus
+from repro.experiments import icmp_flood_scenario
 from repro.net.packets.base import Medium
 from repro.net.packets.ctp import CtpDataFrame, CtpRoutingFrame
 from repro.net.packets.ieee802154 import Ieee802154Frame
@@ -211,6 +217,55 @@ class TestTrafficStats:
         module.handle(wifi_tcp_capture(A, B, "x", 0.1, flags=TcpFlags.ACK))
         assert kb.get("TrafficFrequency.TCPSYN", float) > 0
         assert kb.get("TrafficFrequency.TCPACK", float) > 0
+
+
+def _unrendered_rate(count, window, precision):
+    """The rate as a float, left for ``KnowledgeBase.put`` to encode."""
+    return round(count / window, precision)
+
+
+class TestRateText:
+    @given(
+        st.integers(0, 100_000),
+        st.sampled_from([5.0, 5, 2, 2.5, 0.3, 0.7, 60.0]),
+        st.integers(0, 6),
+    )
+    def test_matches_the_encoded_rounded_rate(self, count, window, precision):
+        assert rate_text(count, window, precision) == encode_value(
+            round(count / window, precision)
+        )
+
+    @pytest.mark.parametrize(
+        "params", ["", "(window=2, precision=3)", "(window=0.7, precision=0)"]
+    )
+    def test_replay_writes_what_the_unrendered_rate_writes(self, params, monkeypatch):
+        """Each rate put, event and stored value is the one a put of the
+        float itself makes, for the default and configured windows."""
+        spec = parse_config(f"modules = {{ TrafficStatsModule {params} }}").modules[0]
+        captures = [
+            record.capture
+            for record in icmp_flood_scenario.build(seed=7, symptom_instances=4).trace
+        ]
+        runs = []
+        for renderer in (rate_text, _unrendered_rate):
+            monkeypatch.setattr(traffic, "rate_text", renderer)
+            module = create_module("TrafficStatsModule", spec.params)
+            kb = bind(module)
+            events = []
+            kb.subscribe_all(lambda event: events.append((event.topic, event.payload)))
+            for capture in captures:
+                module.handle(capture)
+            runs.append((events, kb.snapshot(), kb.bus.topic_counts(), kb.change_count))
+        assert runs[0] == runs[1]
+        assert runs[0][0]
+
+    def test_replay_leaves_the_module_state_size_unchanged(self):
+        """The rendered rates live outside instance state: the RAM proxy
+        of the replayed module is the value it had before the cache."""
+        node = KalisNode(NodeId("kalis-1"))
+        for record in icmp_flood_scenario.build(seed=7, symptom_instances=4).trace:
+            node.feed(record.capture)
+        assert node.manager.module("TrafficStatsModule").approximate_state_bytes() == 956
 
 
 class TestMobilityAwareness:
